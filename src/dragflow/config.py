@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +62,21 @@ def _section(d: dict, key: str, required: bool = True) -> dict:
         raise ConfigError(f"{key} must be an object")
     return sec
 
+
+def _field_values(isec: dict, key: str) -> dict:
+    """initial_data.amplitudes/phases: finite numbers keyed by rho, u, n or v."""
+    values = _get(isec, key, "initial_data", required=False, default={})
+    if not isinstance(values, dict):
+        raise ConfigError(f"initial_data.{key} must be an object")
+    for name, val in values.items():
+        path = f"initial_data.{key}.{name}"
+        if name not in ("rho", "u", "n", "v"):
+            raise ConfigError(f"unknown key {path}; expected rho, u, n or v")
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ConfigError(f"{path} must be a finite number, got {val!r}")
+    return dict(values)
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -103,11 +119,12 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"time: {err}") from err
 
     isec = _section(doc, "initial_data")
+    amplitudes, phases = _field_values(isec, "amplitudes"), _field_values(isec, "phases")
     try:
         init = InitSpec(
             kind=str(_get(isec, "kind", "initial_data")),
-            amplitudes=dict(_get(isec, "amplitudes", "initial_data", required=False, default={})),
-            phases=dict(_get(isec, "phases", "initial_data", required=False, default={})),
+            amplitudes=amplitudes,
+            phases=phases,
             base_rho=float(_get(isec, "base_rho", "initial_data", required=False, default=1.0)),
             modes=int(_get(isec, "modes", "initial_data", required=False, default=3)),
             snapshot=_get(isec, "snapshot", "initial_data", required=False),

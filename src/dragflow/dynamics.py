@@ -203,10 +203,13 @@ def max_speed(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) ->
 
 def grad_velocity_max(state: State, floor: float = VACUUM_FLOOR) -> float:
     """Grid max of the Frobenius norm of grad(u) (steepening monitor)."""
-    g = state.grid
-    u, _ = primitive_velocity(state.rho, state.m, floor)
-    total = np.zeros(g.shape)
-    for a in range(g.dim):
-        grad = g.gradient(u[a])
+    return gradient_norm_max(state.grid, primitive_velocity(state.rho, state.m, floor)[0])
+
+
+def gradient_norm_max(grid: Grid, u: np.ndarray) -> float:
+    """Grid max of the Frobenius norm of grad(u) for a given velocity field."""
+    total = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        grad = grid.gradient(u[a])
         total += np.sum(grad * grad, axis=0)
     return float(np.sqrt(np.max(total)))

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    VACUUM_FLOOR,
     FluidParams,
+    NonPositiveDensity,
     State,
-    grad_velocity_max,
+    gradient_norm_max,
     pressure_deviation,
     pressure_minus_one,
     primitive_velocity,
@@ -64,14 +66,8 @@ def _dot_sq(v: np.ndarray) -> np.ndarray:
     return np.sum(v * v, axis=0)
 
 
-def _velocities(state: State, floor: float = 1e-8):
-    u, _ = primitive_velocity(state.rho, state.m, floor)
-    v, _ = primitive_velocity(1.0 + state.n, state.j, floor)
-    return u, v
-
-
 # ---------------------------------------------------------------------------
-# averaged quantities and basic functionals
+# averaged quantities and the derived fields of one state
 # ---------------------------------------------------------------------------
 
 
@@ -91,6 +87,80 @@ def averages(state: State) -> Averages:
     return Averages(rho_c, m_c, j_c)
 
 
+class _Fields:
+    """Derived fields of one state, each built once and shared by every functional.
+
+    The energy part (u, v, the averages, du, dv, 1+n, the pressure
+    deviation and, for sigma > 0, ``lift = bogovskii(n)``) gives the energy
+    scalars; a neighbour of a residual window contributes only those, as
+    ``energies``.  The centre of a record also needs grad v, div v, u - v
+    and the plain dissipation terms I1-I3 (``gradients=True``).
+    """
+
+    def __init__(self, state: State, params: FluidParams, sigma: float = 0.0,
+                 gradients: bool = True, floor: float = VACUUM_FLOOR):
+        if sigma < 0.0:
+            raise DiagnosticsError("sigma must be nonnegative")
+        g = state.grid
+        self.state, self.params, self.sigma = state, params, sigma
+        self.n1 = 1.0 + state.n
+        self.min_n1 = float(np.min(self.n1))
+        if self.min_n1 <= 0.0:
+            raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
+        self.av = av = averages(state)
+        self.u, _ = primitive_velocity(state.rho, state.m, floor)
+        self.v, _ = primitive_velocity(self.n1, state.j, floor)
+        bshape = (-1,) + (1,) * g.dim
+        self.du = self.u - av.m_c.reshape(bshape)
+        self.dv = self.v - av.j_c.reshape(bshape)
+        self.pdev = pressure_deviation(state.n, params.gamma)
+        self.lift = g.bogovskii(state.n) if sigma > 0.0 else None
+
+        self.fluct_p = _mean(state.rho * _dot_sq(self.du))
+        self.fluct_f = _mean(self.n1 * _dot_sq(self.dv))
+        self.gap_sq = float(np.sum((av.m_c - av.j_c) ** 2))
+        self.L_p = self.fluct_p + self.fluct_f + self.gap_sq
+        self.L = self.L_p + _mean(state.n * state.n)
+        # mean of f(1+n; 1), via the cancellation-free deviation identity
+        self.potential = _mean(self.pdev) / (params.gamma - 1.0)
+        ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, floor))
+        self.E_dev = ke_p + _mean(_dot_sq(state.j) / self.n1) + 2.0 * self.potential
+        self.E = self.E_dev + 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
+        self.E_script = self.fluct_p + self.fluct_f + 2.0 * self.potential + (
+            av.rho_c / (1.0 + av.rho_c) * self.gap_sq
+        )
+        self.E_sigma = self.E_script
+        if self.lift is not None:
+            cross = _mean(self.n1 * np.sum(self.dv * self.lift, axis=0))
+            self.E_sigma = self.E_script - 2.0 * sigma * cross
+        # what the state contributes to the centred differences, in RESIDUALS order
+        self.energies = (self.E_dev, self.E_sigma, self.fluct_p,
+                         self.fluct_f + 2.0 * self.potential, self.gap_sq)
+        if not gradients:
+            return
+
+        self.grad_v = np.empty((g.dim, g.dim) + g.shape)  # filled in place: no stacking copy
+        for a in range(g.dim):
+            self.grad_v[a] = g.gradient(self.v[a])
+        # div v = sum of d_a v_a, added in the order of Grid.divergence
+        self.div_v = self.grad_v[0, 0].copy()
+        gradsq = _mean(_dot_sq(self.grad_v[0]))
+        for a in range(1, g.dim):
+            self.div_v += self.grad_v[a, a]
+            gradsq += _mean(_dot_sq(self.grad_v[a]))
+        self.diff = self.u - self.v
+        self.i1 = params.mu * gradsq
+        self.i2 = (params.mu + params.lam) * _mean(self.div_v * self.div_v)
+        self.i3 = _mean(state.rho * _dot_sq(self.diff))
+        self.D = self.i1 + self.i2 + self.i3
+        self.jc_prime = _mean_vec(state.rho * self.diff)
+
+
+# ---------------------------------------------------------------------------
+# basic functionals
+# ---------------------------------------------------------------------------
+
+
 def energy_deviation(state: State, params: FluidParams, floor: float = 1e-8) -> float:
     """Total energy minus its equilibrium constant 2/(gamma-1).
 
@@ -99,10 +169,7 @@ def energy_deviation(state: State, params: FluidParams, floor: float = 1e-8) -> 
     fluctuations rather than on the O(1) equilibrium energy, which keeps
     the balance residual measurable at late times.
     """
-    ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, floor))
-    ke_f = _mean(_dot_sq(state.j) / (1.0 + state.n))
-    internal = 2.0 * _mean(pressure_deviation(state.n, params.gamma)) / (params.gamma - 1.0)
-    return ke_p + ke_f + internal
+    return _Fields(state, params, gradients=False, floor=floor).E_dev
 
 
 def total_energy(state: State, params: FluidParams) -> float:
@@ -113,39 +180,18 @@ def total_energy(state: State, params: FluidParams) -> float:
     exactly (d(E)/dt / 2 + D = 0), matches the interacting energy-variation
     term for term, and is monotone along solutions.
     """
-    if state.min_n1() <= 0.0:
-        from .dynamics import NonPositiveDensity
-
-        raise NonPositiveDensity("total_energy: min(1+n) <= 0")
-    const = 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
-    return energy_deviation(state, params) + const
+    return _Fields(state, params, gradients=False).E
 
 
 def dissipation(state: State, params: FluidParams) -> float:
     """mu*mean|grad v|^2 + (mu+lam)*mean|div v|^2 + mean rho|u-v|^2."""
-    g = state.grid
-    u, v = _velocities(state)
-    gradsq = 0.0
-    for a in range(g.dim):
-        gv = g.gradient(v[a])
-        gradsq += _mean(_dot_sq(gv))
-    div = g.divergence(v)
-    drag = _mean(state.rho * _dot_sq(u - v))
-    return params.mu * gradsq + (params.mu + params.lam) * _mean(div * div) + drag
+    return _Fields(state, params).D
 
 
 def lyapunov(state: State, params: FluidParams) -> tuple[float, float]:
     """Momentum/mass fluctuation functional; returns (L, L_p)."""
-    av = averages(state)
-    u, v = _velocities(state)
-    du = u - av.m_c.reshape((-1,) + (1,) * state.grid.dim)
-    dv = v - av.j_c.reshape((-1,) + (1,) * state.grid.dim)
-    l_p = (
-        _mean(state.rho * _dot_sq(du))
-        + _mean((1.0 + state.n) * _dot_sq(dv))
-        + float(np.sum((av.m_c - av.j_c) ** 2))
-    )
-    return l_p + _mean(state.n * state.n), l_p
+    f = _Fields(state, params, gradients=False)
+    return f.L, f.L_p
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +217,30 @@ def pressure_potential(r, r0: float, gamma: float):
     return out if out.ndim else float(out)
 
 
-def pressure_potential_bounds(
-    r0: float, r_bar: float, gamma: float, num: int = 10_000
-) -> tuple[float, float]:
-    """Scan of f(r; r0)/(r - r0)^2 over [0, r_bar]; returns (min, max).
+def pressure_potential_bounds(r0: float, r_bar: float, gamma: float) -> tuple[float, float]:
+    """(min, max) of f(r; r0)/(r - r0)^2 over [0, r_bar], in closed form.
 
-    Both bounds are strictly positive for gamma > 1, and equal 1 when
-    gamma = 2, r0 = 1 (where f(r; 1) = (r-1)^2 exactly).
+    f'' = gamma * r^(gamma-2) is monotone, so the ratio is monotone in r and
+    its extremes are r0^(gamma-2) at r = 0 and, at r = r_bar, f in the
+    cancellation-free pressure-deviation form.  Both are strictly positive
+    for gamma > 1, and equal 1 when gamma = 2, r0 = 1 (f(r; 1) = (r-1)^2).
     """
+    if not r0 > 0.0:
+        raise DiagnosticsError("r0 must be positive")
+    if not gamma > 1.0:
+        raise DiagnosticsError("gamma must exceed 1")
     if not r_bar > r0:
         raise DiagnosticsError("r_bar must exceed r0")
-    rs = np.linspace(0.0, r_bar, num)
-    keep = np.abs(rs - r0) > 1e-9 * max(1.0, r0)
-    rs = rs[keep]
-    ratio = pressure_potential(rs, r0, gamma) / (rs - r0) ** 2
-    return float(np.min(ratio)), float(np.max(ratio))
+    x = (r_bar - r0) / r0
+    at_zero = r0 ** (gamma - 2.0)
+    at_r_bar = at_zero * float(pressure_deviation(x, gamma)) / ((gamma - 1.0) * x * x)
+    return min(at_zero, at_r_bar), max(at_zero, at_r_bar)
 
 
-def _pressure_potential_mean(state: State, params: FluidParams) -> float:
-    """mean of f(1+n; 1), via the cancellation-free deviation identity."""
-    return _mean(pressure_deviation(state.n, params.gamma)) / (params.gamma - 1.0)
+def _bounds_above(n_bar: float, gamma: float) -> tuple[float, float]:
+    """Pressure-potential bounds on [0, r_bar], r_bar just above max(1+n)."""
+    r_bar = max(n_bar, 1.0 + 1e-6) * (1.0 + 1e-9)
+    return pressure_potential_bounds(1.0, r_bar, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +257,42 @@ class InteractingEnergy:
     terms: dict
 
 
+def _sigma_terms(f: _Fields) -> tuple[float, ...]:
+    """I4-I10, the dissipation terms of the sigma correction."""
+    s, p, sigma, lift = f.state, f.params, f.sigma, f.lift
+    g = s.grid
+    hess = np.empty((g.dim, g.dim) + g.shape)  # d_b d_a phi
+    for a in range(g.dim):
+        hess[a] = g.gradient(lift[a])
+    flux = g.dealias(s.j[:, None] * f.v[None, :])
+    i4 = sigma * _mean(np.sum(flux * hess, axis=(0, 1)))
+    i5 = sigma * _mean(s.n * g.dealias(pressure_minus_one(s.n, p.gamma)))
+    # hess is symmetric, so this pairs d_b v_a with d_b d_a phi
+    i6 = -sigma * p.mu * _mean(np.sum(f.grad_v * hess, axis=(0, 1)))
+    i7 = -sigma * (p.mu + p.lam) * _mean(f.div_v * s.n)
+    drag = g.dealias(s.rho * f.diff)
+    i8 = sigma * _mean(np.sum(drag * lift, axis=0))
+    div_j = g.divergence(s.j)
+    lift_divj = g.bogovskii(div_j)
+    i9 = -sigma * _mean(f.n1 * np.sum(f.dv * lift_divj, axis=0))
+    jc_dot_lift = np.tensordot(f.av.j_c, lift, axes=(0, 0))
+    i10 = -sigma * (
+        -_mean(div_j * jc_dot_lift)
+        + float(np.dot(f.jc_prime, _mean_vec(f.n1 * lift)))
+    )
+    return i4, i5, i6, i7, i8, i9, i10
+
+
+def _interacting(f: _Fields) -> InteractingEnergy:
+    terms = {"I1": f.i1, "I2": f.i2, "I3": f.i3}
+    d_sigma = f.D
+    extra = _sigma_terms(f) if f.lift is not None else (0.0,) * 7
+    for k, val in zip(range(4, 11), extra):
+        terms[f"I{k}"] = val
+        d_sigma += val
+    return InteractingEnergy(f.E_script, f.E_sigma, d_sigma, f.sigma, terms)
+
+
 def interacting_energy(
     state: State, params: FluidParams, sigma: float
 ) -> InteractingEnergy:
@@ -220,85 +306,36 @@ def interacting_energy(
     ``terms`` for debuggability.  The pair satisfies
     d(E_sigma)/dt / 2 + D_sigma = 0 along solutions of the coupled system.
     """
-    if sigma < 0.0:
-        raise DiagnosticsError("sigma must be nonnegative")
-    g = state.grid
-    av = averages(state)
-    u, v = _velocities(state)
-    bshape = (-1,) + (1,) * g.dim
-    du = u - av.m_c.reshape(bshape)
-    dv = v - av.j_c.reshape(bshape)
-    n1 = 1.0 + state.n
+    return _interacting(_Fields(state, params, sigma))
 
-    fluct_p = _mean(state.rho * _dot_sq(du))
-    fluct_f = _mean(n1 * _dot_sq(dv))
-    gap_sq = float(np.sum((av.m_c - av.j_c) ** 2))
-    e_script = (
-        fluct_p
-        + fluct_f
-        + 2.0 * _pressure_potential_mean(state, params)
-        + av.rho_c / (1.0 + av.rho_c) * gap_sq
-    )
 
-    gradsq = 0.0
-    grad_v = np.empty((g.dim, g.dim) + g.shape)
-    for a in range(g.dim):
-        grad_v[a] = g.gradient(v[a])
-        gradsq += _mean(_dot_sq(grad_v[a]))
-    div_v = g.divergence(v)
-    i1 = params.mu * gradsq
-    i2 = (params.mu + params.lam) * _mean(div_v * div_v)
-    i3 = _mean(state.rho * _dot_sq(u - v))
-    d_plain = i1 + i2 + i3
+def _sigma_max(n_bar: float, bounds: tuple[float, float], cstar: float) -> float:
+    return min(1.0 / n_bar, 2.0 * bounds[0] / cstar)
 
-    terms = {"I1": i1, "I2": i2, "I3": i3}
-    if sigma == 0.0:
-        for k in range(4, 11):
-            terms[f"I{k}"] = 0.0
-        return InteractingEnergy(e_script, e_script, d_plain, 0.0, terms)
 
-    lift = g.bogovskii(state.n)  # grad of the mean-zero potential of n
-    hess = np.empty((g.dim, g.dim) + g.shape)
-    for a in range(g.dim):
-        for b in range(g.dim):
-            hess[a, b] = g.ddx(lift[a], b)
-
-    cross = _mean(n1 * np.sum(dv * lift, axis=0))
-    e_sigma = e_script - 2.0 * sigma * cross
-
-    flux = g.dealias(state.j[:, None] * v[None, :])
-    i4 = sigma * _mean(np.sum(flux * hess, axis=(0, 1)))
-    i5 = sigma * _mean(state.n * g.dealias(pressure_minus_one(state.n, params.gamma)))
-    # hess is symmetric, so this pairs d_b v_a with d_b d_a phi
-    i6 = -sigma * params.mu * _mean(np.sum(grad_v * hess, axis=(0, 1)))
-    i7 = -sigma * (params.mu + params.lam) * _mean(div_v * state.n)
-    drag = g.dealias(state.rho * (u - v))
-    i8 = sigma * _mean(np.sum(drag * lift, axis=0))
-    div_j = g.divergence(state.j)
-    lift_divj = g.bogovskii(div_j)
-    i9 = -sigma * _mean(n1 * np.sum(dv * lift_divj, axis=0))
-    jc_prime = _mean_vec(state.rho * (u - v))
-    jc_dot_lift = np.tensordot(av.j_c, lift, axes=(0, 0))
-    i10 = -sigma * (
-        -_mean(div_j * jc_dot_lift)
-        + float(np.dot(jc_prime, _mean_vec(n1 * lift)))
-    )
-    for k, val in zip(range(4, 11), (i4, i5, i6, i7, i8, i9, i10)):
-        terms[f"I{k}"] = val
-    d_sigma = d_plain + i4 + i5 + i6 + i7 + i8 + i9 + i10
-    return InteractingEnergy(e_script, e_sigma, d_sigma, sigma, terms)
+def _sigma_default(n_bar: float, bounds: tuple[float, float], cstar: float) -> float:
+    return min(0.01, 0.5 * _sigma_max(n_bar, bounds, cstar))
 
 
 def sigma_admissible_max(state: State, params: FluidParams, cstar: float) -> float:
     """Largest sigma keeping the lower equivalence constant positive."""
     n_bar = float(np.max(1.0 + state.n))
-    r_bar = max(n_bar, 1.0 + 1e-6) * (1.0 + 1e-9)
-    c1_pp, _ = pressure_potential_bounds(1.0, r_bar, params.gamma)
-    return min(1.0 / n_bar, 2.0 * c1_pp / cstar)
+    return _sigma_max(n_bar, _bounds_above(n_bar, params.gamma), cstar)
 
 
 def sigma_default(state: State, params: FluidParams, cstar: float) -> float:
-    return min(0.01, 0.5 * sigma_admissible_max(state, params, cstar))
+    n_bar = float(np.max(1.0 + state.n))
+    return _sigma_default(n_bar, _bounds_above(n_bar, params.gamma), cstar)
+
+
+def _equivalence(
+    rho_c: float, n_bar: float, bounds: tuple[float, float], sigma: float, cstar: float
+) -> tuple[float, float]:
+    c1_pp, c2_pp = bounds
+    frac = rho_c / (rho_c + 1.0)
+    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * cstar)
+    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * cstar)
+    return c1, c2
 
 
 def equivalence_constants(
@@ -309,14 +346,9 @@ def equivalence_constants(
     The pressure-term constants are twice the pressure-potential bounds
     (the interacting energy carries the potential with coefficient 2).
     """
-    av = averages(state)
     n_bar = float(np.max(1.0 + state.n))
-    r_bar = max(n_bar, 1.0 + 1e-6) * (1.0 + 1e-9)
-    c1_pp, c2_pp = pressure_potential_bounds(1.0, r_bar, params.gamma)
-    frac = av.rho_c / (av.rho_c + 1.0)
-    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * cstar)
-    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * cstar)
-    return c1, c2
+    bounds = _bounds_above(n_bar, params.gamma)
+    return _equivalence(averages(state).rho_c, n_bar, bounds, sigma, cstar)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +363,16 @@ class JcBounds:
     slack_rate: float  # rho_c * mean(rho|u-v|^2) - |j_c'|^2
 
 
-def jc_bounds_check(state: State, params: FluidParams, e0: float) -> JcBounds:
-    """|j_c|^2 <= E(0) and |j_c'|^2 <= rho_c * mean(rho|u-v|^2)."""
-    av = averages(state)
-    u, v = _velocities(state)
-    jc_prime = _mean_vec(state.rho * (u - v))
-    slack_mom = e0 - float(np.sum(av.j_c**2))
-    slack_rate = av.rho_c * _mean(state.rho * _dot_sq(u - v)) - float(
-        np.sum(jc_prime**2)
-    )
+def _jc_bounds(f: _Fields, e0: float) -> JcBounds:
+    slack_mom = e0 - float(np.sum(f.av.j_c**2))
+    slack_rate = f.av.rho_c * f.i3 - float(np.sum(f.jc_prime**2))
     ok = slack_mom >= -1e-10 and slack_rate >= -1e-10
     return JcBounds(ok, slack_mom, slack_rate)
+
+
+def jc_bounds_check(state: State, params: FluidParams, e0: float) -> JcBounds:
+    """|j_c|^2 <= E(0) and |j_c'|^2 <= rho_c * mean(rho|u-v|^2)."""
+    return _jc_bounds(_Fields(state, params), e0)
 
 
 @dataclass(frozen=True)
@@ -352,6 +383,17 @@ class DissipationDomination:
     rhs: float  # C_explicit * D
 
 
+def _domination(f: _Fields, n_bar: float) -> DissipationDomination:
+    rho_c = f.av.rho_c
+    rho_bar = float(np.max(f.state.rho))
+    c_expl = (2.0 / min(1.0, rho_c)) * max(
+        1.0, 2.0 * (3.0 * (rho_c * n_bar + rho_bar) + n_bar) / f.params.mu
+    )
+    rhs = c_expl * f.D
+    ok = f.L_p <= rhs * (1.0 + 1e-9) + 1e-14
+    return DissipationDomination(ok, c_expl, f.L_p, rhs)
+
+
 def dissipation_domination_check(
     state: State, params: FluidParams
 ) -> DissipationDomination:
@@ -360,17 +402,22 @@ def dissipation_domination_check(
     C = 2/min(1, rho_c) * max(1, 2*(3*(rho_c*n_bar + rho_bar) + n_bar)/mu),
     with rho_bar = max rho and n_bar = max (1+n) over the grid.
     """
-    av = averages(state)
-    n_bar = float(np.max(1.0 + state.n))
-    rho_bar = float(np.max(state.rho))
-    c_expl = (2.0 / min(1.0, av.rho_c)) * max(
-        1.0, 2.0 * (3.0 * (av.rho_c * n_bar + rho_bar) + n_bar) / params.mu
-    )
-    _, l_p = lyapunov(state, params)
-    d_val = dissipation(state, params)
-    rhs = c_expl * d_val
-    ok = l_p <= rhs * (1.0 + 1e-9) + 1e-14
-    return DissipationDomination(ok, c_expl, l_p, rhs)
+    return _domination(_Fields(state, params), float(np.max(1.0 + state.n)))
+
+
+def _energy_density(f: _Fields) -> tuple[float, tuple[float, float]]:
+    if float(np.max(np.abs(f.state.n))) > 0.5:
+        raise HypothesisViolated("energy_density_e0 requires max|n| <= 1/2")
+    vsq = _dot_sq(f.v)
+    e0 = f.pdev / (f.params.gamma - 1.0) + 0.5 * f.n1 * vsq
+    denom = f.state.n * f.state.n + vsq
+    mask = denom > 1e-14
+    if np.any(mask):
+        ratios = e0[mask] / denom[mask]
+        bounds = (float(np.min(ratios)), float(np.max(ratios)))
+    else:
+        bounds = (math.nan, math.nan)
+    return _mean(e0), bounds
 
 
 def energy_density_e0(
@@ -382,25 +429,14 @@ def energy_density_e0(
     Returns (mean of E0, (min, max) of E0/(n^2 + |v|^2) where the
     denominator exceeds 1e-14).  Requires the grid max of |n| <= 1/2.
     """
-    if float(np.max(np.abs(state.n))) > 0.5:
-        raise HypothesisViolated("energy_density_e0 requires max|n| <= 1/2")
-    _, v = _velocities(state)
-    e0 = pressure_deviation(state.n, params.gamma) / (params.gamma - 1.0) + 0.5 * (
-        1.0 + state.n
-    ) * _dot_sq(v)
-    denom = state.n * state.n + _dot_sq(v)
-    mask = denom > 1e-14
-    if np.any(mask):
-        ratios = e0[mask] / denom[mask]
-        bounds = (float(np.min(ratios)), float(np.max(ratios)))
-    else:
-        bounds = (math.nan, math.nan)
-    return _mean(e0), bounds
+    return _energy_density(_Fields(state, params, gradients=False))
 
 
 # ---------------------------------------------------------------------------
 # identity residuals (centered differences around one state)
 # ---------------------------------------------------------------------------
+
+RESIDUALS = ("energy_balance", "esigma_balance", "fluct_particle", "fluct_fluid", "momentum_gap")
 
 
 def _nonuniform_derivative(f0: float, f1: float, f2: float, h0: float, h1: float) -> float:
@@ -408,6 +444,23 @@ def _nonuniform_derivative(f0: float, f1: float, f2: float, h0: float, h1: float
     return (h0 * h0 * f2 - h1 * h1 * f0 + (h1 * h1 - h0 * h0) * f1) / (
         h0 * h1 * (h0 + h1)
     )
+
+
+def _residuals(times, before, f: _Fields, after, inter: InteractingEnergy) -> dict:
+    """Residuals at the centre ``f``; ``before``/``after`` are the neighbours' energies."""
+    h0, h1 = times[1] - times[0], times[2] - times[1]
+    if h0 <= 0 or h1 <= 0:
+        raise DiagnosticsError("samples must be strictly increasing in time")
+    rate = [0.5 * _nonuniform_derivative(*e, h0, h1) for e in zip(before, f.energies, after)]
+    s, av = f.state, f.av
+    return {
+        "energy_balance": rate[0] + f.D,
+        "esigma_balance": rate[1] + inter.D_sigma,
+        "fluct_particle": rate[2] + _mean(s.rho * np.sum(f.du * f.diff, axis=0)),
+        "fluct_fluid": rate[3] + (f.i1 + f.i2) - _mean(s.rho * np.sum(f.dv * f.diff, axis=0)),
+        "momentum_gap": rate[4]
+        + (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, f.jc_prime)),
+    }
 
 
 def identity_residuals(
@@ -422,83 +475,14 @@ def identity_residuals(
     Residuals of: the total-energy balance, the interacting-energy balance
     at the given sigma, and the three fluctuation identities (particle
     fluctuation, fluid fluctuation + pressure, mean-momentum gap).  All are
-    second-order accurate in the sample spacing.
+    second-order accurate in the sample spacing.  The neighbours contribute
+    only their energy scalars.
     """
     (t0, s0), (t1, s1), (t2, s2) = before, center, after
-    h0, h1 = t1 - t0, t2 - t1
-    if h0 <= 0 or h1 <= 0:
-        raise DiagnosticsError("samples must be strictly increasing in time")
-
-    def fluct_particle(s: State) -> float:
-        av = averages(s)
-        u, _ = _velocities(s)
-        du = u - av.m_c.reshape((-1,) + (1,) * s.grid.dim)
-        return _mean(s.rho * _dot_sq(du))
-
-    def fluct_fluid(s: State) -> float:
-        av = averages(s)
-        _, v = _velocities(s)
-        dv = v - av.j_c.reshape((-1,) + (1,) * s.grid.dim)
-        return _mean((1.0 + s.n) * _dot_sq(dv)) + 2.0 * _pressure_potential_mean(
-            s, params
-        )
-
-    def gap_sq(s: State) -> float:
-        av = averages(s)
-        return float(np.sum((av.m_c - av.j_c) ** 2))
-
-    # center-state quantities
-    g = s1.grid
-    av1 = averages(s1)
-    u1, v1 = _velocities(s1)
-    diff1 = u1 - v1
-    d_val = dissipation(s1, params)
-    inter0 = interacting_energy(s0, params, sigma)
-    inter1 = interacting_energy(s1, params, sigma)
-    inter2 = interacting_energy(s2, params, sigma)
-
-    res_energy = 0.5 * _nonuniform_derivative(
-        energy_deviation(s0, params),
-        energy_deviation(s1, params),
-        energy_deviation(s2, params),
-        h0,
-        h1,
-    ) + d_val
-    res_esigma = (
-        0.5 * _nonuniform_derivative(inter0.E_sigma, inter1.E_sigma, inter2.E_sigma, h0, h1)
-        + inter1.D_sigma
-    )
-
-    du1 = u1 - av1.m_c.reshape((-1,) + (1,) * g.dim)
-    dv1 = v1 - av1.j_c.reshape((-1,) + (1,) * g.dim)
-    res_i = 0.5 * _nonuniform_derivative(
-        fluct_particle(s0), fluct_particle(s1), fluct_particle(s2), h0, h1
-    ) + _mean(s1.rho * np.sum(du1 * diff1, axis=0))
-
-    gradsq = 0.0
-    for a in range(g.dim):
-        gv = g.gradient(v1[a])
-        gradsq += _mean(_dot_sq(gv))
-    div_v1 = g.divergence(v1)
-    viscous = params.mu * gradsq + (params.mu + params.lam) * _mean(div_v1 * div_v1)
-    res_ii = (
-        0.5 * _nonuniform_derivative(fluct_fluid(s0), fluct_fluid(s1), fluct_fluid(s2), h0, h1)
-        + viscous
-        - _mean(s1.rho * np.sum(dv1 * diff1, axis=0))
-    )
-
-    jc_prime = _mean_vec(s1.rho * diff1)
-    res_iii = 0.5 * _nonuniform_derivative(
-        gap_sq(s0), gap_sq(s1), gap_sq(s2), h0, h1
-    ) + (1.0 + av1.rho_c) / av1.rho_c * float(np.dot(av1.m_c - av1.j_c, jc_prime))
-
-    return {
-        "energy_balance": res_energy,
-        "esigma_balance": res_esigma,
-        "fluct_particle": res_i,
-        "fluct_fluid": res_ii,
-        "momentum_gap": res_iii,
-    }
+    f = _Fields(s1, params, sigma)
+    e_before = _Fields(s0, params, sigma, gradients=False).energies
+    e_after = _Fields(s2, params, sigma, gradients=False).energies
+    return _residuals((t0, t1, t2), e_before, f, e_after, _interacting(f))
 
 
 # ---------------------------------------------------------------------------
@@ -673,68 +657,63 @@ class Recorder:
         window=None,
         flags: tuple[str, ...] = (),
     ) -> DiagnosticsRecord:
-        av = averages(state)
+        params = self.params
+        n_bar = float(np.max(1.0 + state.n))
+        bounds = _bounds_above(n_bar, params.gamma)
         if self.sigma is None:
             self.sigma = (
                 self._sigma_override
                 if self._sigma_override is not None
-                else sigma_default(state, self.params, self.cstar)
+                else _sigma_default(n_bar, bounds, self.cstar)
             )
+        f = _Fields(state, params, self.sigma)
         if self.averages0 is None:
-            self.averages0 = av
-            self._target = alignment_target(av)
+            self.averages0 = f.av
+            self._target = alignment_target(f.av)
         if self.e0 is None:
-            self.e0 = total_energy(state, self.params)
+            self.e0 = f.E
 
-        inter = interacting_energy(state, self.params, self.sigma)
-        l_val, l_p = lyapunov(state, self.params)
+        inter = _interacting(f)
         try:
-            e0_int, _ = energy_density_e0(state, self.params)
+            e0_int, _ = _energy_density(f)
         except HypothesisViolated:
             e0_int = math.nan
             flags = flags + ("e0_hypothesis",)
 
-        u, v = _velocities(state)
         tgt = self._target.reshape((-1,) + (1,) * self.grid.dim)
-        u_dist = float(np.max(np.sqrt(_dot_sq(u - tgt))))
-        v_dist = float(np.max(np.sqrt(_dot_sq(v - tgt))))
+        u_dist = float(np.max(np.sqrt(_dot_sq(f.u - tgt))))
+        v_dist = float(np.max(np.sqrt(_dot_sq(f.v - tgt))))
 
-        residuals = {
-            "energy_balance": math.nan,
-            "esigma_balance": math.nan,
-            "fluct_particle": math.nan,
-            "fluct_fluid": math.nan,
-            "momentum_gap": math.nan,
-        }
-        if window is not None:
-            (h0, s_prev), (h1, s_next) = window
-            residuals = identity_residuals(
-                (t - h0, s_prev), (t, state), (t + h1, s_next), self.params, self.sigma
-            )
-        else:
+        if window is None:
+            residuals = dict.fromkeys(RESIDUALS, math.nan)
             flags = flags + ("endpoint",)
+        else:
+            (h0, s_prev), (h1, s_next) = window
+            e_before = _Fields(s_prev, params, self.sigma, gradients=False).energies
+            e_after = _Fields(s_next, params, self.sigma, gradients=False).energies
+            residuals = _residuals((t - h0, t, t + h1), e_before, f, e_after, inter)
 
         funcs = Functionals(
-            E=total_energy(state, self.params),
-            D=dissipation(state, self.params),
-            L=l_val,
-            L_p=l_p,
+            E=f.E,
+            D=f.D,
+            L=f.L,
+            L_p=f.L_p,
             E_script=inter.E_script,
             E_sigma=inter.E_sigma,
             D_sigma=inter.D_sigma,
             E0_integral=e0_int,
             sigma=self.sigma,
             min_rho=state.min_rho(),
-            min_n1=state.min_n1(),
-            grad_u_max=grad_velocity_max(state),
-            E_dev=energy_deviation(state, self.params),
+            min_n1=f.min_n1,
+            grad_u_max=gradient_norm_max(self.grid, f.u),
+            E_dev=f.E_dev,
             u_align_dist=u_dist,
             v_align_dist=v_dist,
         )
 
-        jc = jc_bounds_check(state, self.params, self.e0)
-        dom = dissipation_domination_check(state, self.params)
-        c1, c2 = equivalence_constants(state, self.params, self.sigma, self.cstar)
+        jc = _jc_bounds(f, self.e0)
+        dom = _domination(f, n_bar)
+        c1, c2 = _equivalence(f.av.rho_c, n_bar, bounds, self.sigma, self.cstar)
         checks = {
             "jc_momentum_slack": jc.slack_momentum,
             "jc_rate_slack": jc.slack_rate,
@@ -747,7 +726,7 @@ class Recorder:
         }
         return DiagnosticsRecord(
             t=t,
-            averages=av,
+            averages=f.av,
             functionals=funcs,
             mass_n=_mean(state.n),
             mom_total=_mean_vec(state.m) + _mean_vec(state.j),

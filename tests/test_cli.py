@@ -51,6 +51,13 @@ def test_run_missing_key_exits_2(tmp_path, capsys):
     assert "params.gamma" in capsys.readouterr().err
 
 
+def test_run_malformed_amplitude_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, initial_data={"amplitudes": {"rho": "big"}})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "initial_data.amplitudes.rho" in capsys.readouterr().err
+
+
 def test_run_deterministic_bytes(tmp_path):
     cfg = write_cfg(tmp_path, initial_data={"kind": "multi_mode"}, seed=7)
     out1 = tmp_path / "a"

@@ -44,6 +44,37 @@ def test_parse_bad_schema():
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "section, values, key",
+    [
+        ("amplitudes", {"rho": "big"}, "initial_data.amplitudes.rho"),
+        ("amplitudes", {"u": None}, "initial_data.amplitudes.u"),
+        ("amplitudes", {"n": True}, "initial_data.amplitudes.n"),
+        ("amplitudes", {"v": float("nan")}, "initial_data.amplitudes.v"),
+        ("amplitudes", {"rho": float("inf")}, "initial_data.amplitudes.rho"),
+        ("amplitudes", {"zeta": 0.1}, "initial_data.amplitudes.zeta"),
+        ("phases", {"u": [0.5]}, "initial_data.phases.u"),
+        ("phases", {"theta": 0.5}, "initial_data.phases.theta"),
+        ("phases", [0.5], "initial_data.phases"),
+    ],
+)
+def test_parse_bad_amplitudes_and_phases_name_key(section, values, key):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["initial_data"][section] = values
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert key in str(err.value)
+
+
+def test_parse_amplitudes_and_phases_accept_numbers():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["initial_data"]["amplitudes"] = {"rho": 0.05, "u": 1, "n": -0.02, "v": 0.0}
+    doc["initial_data"]["phases"] = {"rho": 0.5, "v": 3}
+    cfg = parse_config(doc)
+    assert cfg.initial_data.amp("u") == 1.0
+    assert cfg.initial_data.phase("v") == 3.0
+
+
 def test_config_roundtrip(tmp_path):
     cfg = parse_config(MINIMAL)
     path = tmp_path / "cfg.json"

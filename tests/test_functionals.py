@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dragflow.functionals as fn
-from dragflow.dynamics import FluidParams, State
+from dragflow.dynamics import FluidParams, State, grad_velocity_max
 from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
 
@@ -33,10 +33,13 @@ def uniform_state(grid, a=0.0, b=0.0, rho0=1.0):
 
 
 def random_small_state(grid, rng, amp=0.05):
-    rho = 1.0 + amp * random_band_limited(grid, rng)
-    u = (amp * random_band_limited(grid, rng))[None]
-    n = amp * random_band_limited(grid, rng)
-    v = (amp * random_band_limited(grid, rng))[None]
+    def field():
+        return amp * random_band_limited(grid, rng)
+
+    rho = 1.0 + field()
+    u = np.stack([field() for _ in range(grid.dim)])
+    n = field()
+    v = np.stack([field() for _ in range(grid.dim)])
     return make_state(grid, rho, u, n, v)
 
 
@@ -199,8 +202,8 @@ def test_pressure_potential_vs_riemann_oracle(gamma):
 
 
 def test_pressure_potential_bounds_gamma2():
-    # scan points near r0 carry ~1e-8 cancellation noise in the ratio;
-    # the scan only ever widens the interval, so the bounds stay valid
+    # f(r; 1) = (r-1)^2 at gamma = 2: the r = 0 endpoint gives exactly 1, and
+    # the deviation form at r_bar = 2 is within round-off of 1
     c1, c2 = fn.pressure_potential_bounds(1.0, 2.0, 2.0)
     assert c1 == pytest.approx(1.0, abs=1e-7)
     assert c2 == pytest.approx(1.0, abs=1e-7)
@@ -210,6 +213,45 @@ def test_pressure_potential_bounds_gamma2():
 def test_pressure_potential_bounds_ordered_positive():
     c1, c2 = fn.pressure_potential_bounds(1.0, 1.5, 1.4)
     assert 0.0 < c1 < c2 < math.inf
+
+
+def mpmath_bounds(r_bar, gamma):
+    """Endpoint values of f(r; 1)/(r-1)^2 on [0, r_bar] in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r, g = mpmath.mpf(r_bar), mpmath.mpf(gamma)
+        at_r_bar = ((r**g - r) / (g - 1) + (1 - r)) / (r - 1) ** 2
+        return float(min(1, at_r_bar)), float(max(1, at_r_bar))
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0, 2.0, 3.0])
+@pytest.mark.parametrize("r_bar", [1.0 + 1e-6, 1.01, 1.5, 3.0])
+def test_pressure_potential_bounds_match_mpmath(gamma, r_bar):
+    # f'' is monotone, so the ratio's extremes are its values at r = 0 and
+    # r = r_bar; the deviation form loses about eps/(r_bar - 1) relative
+    got = fn.pressure_potential_bounds(1.0, r_bar, gamma)
+    want = mpmath_bounds(r_bar, gamma)
+    assert got == pytest.approx(want, rel=1e-14 + 1e-15 / (r_bar - 1.0), abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0, 2.0])
+def test_small_data_sigma_and_lower_constant_positive(gamma):
+    # amplitude 0.01 puts max(1+n) within 1% of 1, where a sampled ratio
+    # used to lose its precision and sigma collapsed to 0 or below
+    g = Grid(1, 64)
+    spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.01, "u": 0.01, "n": 0.01, "v": 0.01})
+    state = generate_initial(spec, g)
+    params = FluidParams(gamma=gamma, mu=1.0)
+    assert fn.sigma_default(state, params, CSTAR) > 0.0
+    rec = fn.Recorder(g, params).record(0.0, state)
+    assert rec.functionals.sigma > 0.0
+    assert rec.checks["equiv_c1"] > 0.0
+    # the pressure bound is near gamma/2 here, so neither it nor the
+    # admissible sigma binds: sigma sits at its 0.01 cap and c1 is the
+    # momentum-gap constant rho_c/(rho_c + 1)
+    assert rec.functionals.sigma == 0.01
+    rho_c = rec.averages.rho_c
+    assert rec.checks["equiv_c1"] == pytest.approx(rho_c / (rho_c + 1.0), rel=1e-12)
 
 
 def test_pressure_potential_ratio_limit():
@@ -514,3 +556,78 @@ def test_alignment_aligned_state_stays_zero():
     series = fn.alignment_check(res.records)
     assert max(series["u_dist"]) < 1e-12
     assert max(series["v_dist"]) < 1e-12
+
+
+# -- one-pass record against the standalone functionals ----------------------
+
+
+@pytest.mark.parametrize("dim, points", [(1, 32), (2, 16), (3, 8)])
+def test_windowed_record_matches_public_functionals(dim, points):
+    # Recorder.record derives each state's fields once; every value it
+    # reports must equal the standalone function evaluated on the state
+    g = Grid(dim, points)
+    rng = np.random.default_rng(70 + dim)
+    params = FluidParams(gamma=1.4, mu=0.7, lam=0.2)
+    first, before, center, after = (random_small_state(g, rng) for _ in range(4))
+    t, h0, h1 = 0.3, 0.01, 0.011
+    rec = fn.Recorder(g, params, cstar=CSTAR)
+    rec.record(0.0, first)
+    got = rec.record(t, center, window=((h0, before), (h1, after)))
+
+    sigma = fn.sigma_default(first, params, CSTAR)
+    assert sigma > 0.0
+    av0 = fn.averages(first)
+    e0 = fn.total_energy(first, params)
+    target = fn.alignment_target(av0).reshape((-1,) + (1,) * dim)
+    u = center.m / center.rho[None]
+    v = center.j / (1.0 + center.n)[None]
+    l_val, l_p = fn.lyapunov(center, params)
+    inter = fn.interacting_energy(center, params, sigma)
+    want = fn.Functionals(
+        E=fn.total_energy(center, params),
+        D=fn.dissipation(center, params),
+        L=l_val,
+        L_p=l_p,
+        E_script=inter.E_script,
+        E_sigma=inter.E_sigma,
+        D_sigma=inter.D_sigma,
+        E0_integral=fn.energy_density_e0(center, params)[0],
+        sigma=sigma,
+        min_rho=center.min_rho(),
+        min_n1=center.min_n1(),
+        grad_u_max=grad_velocity_max(center),
+        E_dev=fn.energy_deviation(center, params),
+        u_align_dist=float(np.max(np.sqrt(np.sum((u - target) ** 2, axis=0)))),
+        v_align_dist=float(np.max(np.sqrt(np.sum((v - target) ** 2, axis=0)))),
+    )
+    for name, value in vars(want).items():
+        assert getattr(got.functionals, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+    residuals = fn.identity_residuals(
+        (t - h0, before), (t, center), (t + h1, after), params, sigma
+    )
+    assert set(got.residuals) == set(residuals)
+    for name, value in residuals.items():
+        assert got.residuals[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+    jc = fn.jc_bounds_check(center, params, e0)
+    dom = fn.dissipation_domination_check(center, params)
+    c1, c2 = fn.equivalence_constants(center, params, sigma, CSTAR)
+    checks = {
+        "jc_momentum_slack": jc.slack_momentum,
+        "jc_rate_slack": jc.slack_rate,
+        "domination_C": dom.C_explicit,
+        "domination_slack": dom.rhs - dom.lhs,
+        "equiv_c1": c1,
+        "equiv_c2": c2,
+        "equiv_lower_slack": inter.E_sigma - c1 * l_val,
+        "equiv_upper_slack": c2 * l_val - inter.E_sigma,
+    }
+    assert set(got.checks) == set(checks)
+    for name, value in checks.items():
+        assert got.checks[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+    av = fn.averages(center)
+    assert got.averages.rho_c == pytest.approx(av.rho_c, rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(got.averages.m_c, av.m_c, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got.averages.j_c, av.j_c, rtol=1e-14, atol=0.0)
