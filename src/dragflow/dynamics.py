@@ -92,13 +92,6 @@ class StateRates:
     floor_active: bool = field(default=False)
 
 
-def pressure(n: np.ndarray, params: FluidParams) -> np.ndarray:
-    """Barotropic pressure (1+n)**gamma, pointwise."""
-    if float(np.min(1.0 + n)) <= 0.0:
-        raise NonPositiveDensity("pressure undefined: min(1+n) <= 0")
-    return 1.0 + pressure_minus_one(n, params.gamma)
-
-
 def pressure_minus_one(n: np.ndarray, gamma: float) -> np.ndarray:
     # expm1/log1p keeps absolute error at the scale of the deviation,
     # which late-time balance residuals depend on.
@@ -108,13 +101,6 @@ def pressure_minus_one(n: np.ndarray, gamma: float) -> np.ndarray:
 def pressure_deviation(n: np.ndarray, gamma: float) -> np.ndarray:
     """(1+n)**gamma - 1 - gamma*n, the quadratic part of the pressure."""
     return np.expm1(gamma * np.log1p(n)) - gamma * n
-
-
-def lame(grid: Grid, v: np.ndarray, params: FluidParams) -> np.ndarray:
-    """Viscous stress divergence -mu*lap(v) - (mu+lam)*grad(div v)."""
-    return -params.mu * grid.vector_laplacian(v) - (params.mu + params.lam) * grid.gradient(
-        grid.divergence(v)
-    )
 
 
 def primitive_velocity(
@@ -127,15 +113,18 @@ def primitive_velocity(
     return momentum / np.maximum(density, floor)[None], flagged
 
 
-def _fluid_rates_spectral(
+def fluid_rates(
     grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, params: FluidParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_n, d_j without drag), assembled in spectral space.
+    """Drag-free fluid rates (d_n, d_j), assembled in spectral space.
 
     One forward transform per field/product and one inverse per output
     component; the 2/3-rule mask is folded into the flux and pressure
-    derivative multipliers.
+    derivative multipliers.  Raises NonPositiveDensity when min(1+n) <= 0,
+    where the pressure is undefined.
     """
+    if float(np.min(1.0 + n)) <= 0.0:
+        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
     jhat = grid._fft(j)
     d_n = -grid._ifft(sum(grid._ik[a] * jhat[a] for a in range(grid.dim)))
     vhat = grid._fft(v)
@@ -144,7 +133,7 @@ def _fluid_rates_spectral(
     d_j = np.empty_like(j)
     for a in range(grid.dim):
         acc = -grid._ik_dealias[a] * p1hat
-        acc += params.mu * (-grid._k2) * vhat[a]  # -lame: +mu*lap(v)
+        acc += params.mu * (-grid._k2) * vhat[a]  # viscous: mu*lap(v) + (mu+lam)*grad(div v)
         acc += (params.mu + params.lam) * grid._ik[a] * div_v_hat
         for b in range(grid.dim):
             acc -= grid._ik_dealias[b] * grid._fft(j[a] * v[b])
@@ -152,18 +141,9 @@ def _fluid_rates_spectral(
     return d_n, d_j
 
 
-def fluid_terms(
-    grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, params: FluidParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drag-free fluid rates: (d_n, d_j without the coupling force)."""
-    return _fluid_rates_spectral(grid, n, j, v, params)
-
-
 def rhs(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) -> StateRates:
     """Semi-discrete rates of the coupled system in conservative variables."""
     g = state.grid
-    if float(np.min(1.0 + state.n)) <= 0.0:
-        raise NonPositiveDensity("rhs: min(1+n) <= 0")
     u, flag_u = primitive_velocity(state.rho, state.m, floor)
     v, _ = primitive_velocity(1.0 + state.n, state.j, floor)
 
@@ -175,7 +155,7 @@ def rhs(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) -> State
         for b in range(g.dim):
             acc -= g._ik_dealias[b] * g._fft(state.m[a] * u[b])
         d_m[a] = g._ifft(acc)
-    d_n, d_j = _fluid_rates_spectral(g, state.n, state.j, v, params)
+    d_n, d_j = fluid_rates(g, state.n, state.j, v, params)
     if params.drag_on:
         # computed once so the two contributions cancel exactly pointwise
         drag = g.dealias(state.rho * (u - v))
@@ -184,10 +164,10 @@ def rhs(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) -> State
     return StateRates(d_rho, d_m, d_n, d_j, floor_active=flag_u)
 
 
-def sound_speed_max(state: State, params: FluidParams) -> float:
+def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
     """Grid max of sqrt(gamma * (1+n)**(gamma-1))."""
-    n1_max = float(np.max(1.0 + state.n))
-    if float(np.min(1.0 + state.n)) <= 0.0:
+    n1_max = float(np.max(1.0 + n))
+    if float(np.min(1.0 + n)) <= 0.0:
         raise NonPositiveDensity("sound speed undefined: min(1+n) <= 0")
     return float(np.sqrt(params.gamma * n1_max ** (params.gamma - 1.0)))
 
@@ -198,7 +178,7 @@ def max_speed(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) ->
     v, _ = primitive_velocity(1.0 + state.n, state.j, floor)
     umax = float(np.max(np.sqrt(np.sum(u * u, axis=0))))
     vmax = float(np.max(np.sqrt(np.sum(v * v, axis=0))))
-    return max(umax, vmax) + sound_speed_max(state, params)
+    return max(umax, vmax) + sound_speed_max(state.n, params)
 
 
 def grad_velocity_max(state: State, floor: float = VACUUM_FLOOR) -> float:

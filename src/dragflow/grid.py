@@ -95,9 +95,6 @@ class Grid:
     def zeros_vector(self) -> np.ndarray:
         return np.zeros((self.dim,) + self.shape)
 
-    def mean(self, f: np.ndarray) -> float:
-        return float(np.mean(f))
-
     def integral(self, f: np.ndarray) -> float:
         return float(np.mean(f)) * self.volume
 
@@ -115,12 +112,6 @@ class Grid:
 
     # -- differential operators ------------------------------------------
 
-    def ddx(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral partial derivative along a grid axis (Nyquist zeroed)."""
-        if not 0 <= axis < self.dim:
-            raise SpectralError(f"axis {axis} out of range for dim {self.dim}")
-        return self._ifft(self._fft(f) * self._ik[axis])
-
     def gradient(self, f: np.ndarray) -> np.ndarray:
         fhat = self._fft(f)
         return np.stack([self._ifft(fhat * self._ik[a]) for a in range(self.dim)])
@@ -133,9 +124,6 @@ class Grid:
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self._ifft(self._fft(f) * (-self._k2))
-
-    def vector_laplacian(self, v: np.ndarray) -> np.ndarray:
-        return self._ifft(self._fft(v) * (-self._k2))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """2/3-rule truncation: zero modes with any |k_axis| > n/3."""

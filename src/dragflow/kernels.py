@@ -11,9 +11,10 @@ extra).  The path is chosen once, at import:
   the JIT kernels (``deposit_moments_numba``, ``gather_numba``), and
   otherwise at the numpy ones (``deposit_moments_numpy``, ``gather_numpy``).
 
-The numpy kernels are always defined, for testing and for
-``benchmarks/bench_kernels.py``, which compares the two paths when numba is
-present.
+The numpy kernels are always defined, for testing.  To time the selected
+path per particle, run ``python3 perfbench/run.py --workload kinetic1d
+--trace 1`` (``kernels.*.ns_per_particle``); prefix ``SIM_NUMBA=0`` to time
+the numpy path.
 """
 from __future__ import annotations
 

@@ -5,9 +5,9 @@ carries a position, a velocity, and a weight.  Characteristics are
 x' = xi, xi' = v(x) - xi with the fluid velocity interpolated linearly to
 the particles; moments come back to the grid by cloud-in-cell deposition
 (the consistent pair, so the exchanged momentum telescopes exactly).  The
-carrier fluid is advanced with the same spectral machinery as the
-grid-only solver, with the coupling force -(rho_dep * v - m_dep) built
-from the deposited moments.  Alternation is by Strang splitting.
+carrier fluid is advanced with the grid-only solver's fluid rates and
+Runge-Kutta integrator, with the coupling force -(rho_dep * v - m_dep)
+built from the deposited moments.  Alternation is by Strang splitting.
 """
 from __future__ import annotations
 
@@ -17,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dynamics import FluidParams, fluid_terms
+from .dynamics import FluidParams, fluid_rates, sound_speed_max
 from .grid import TWO_PI, Grid
 from .stepping import (
     BlowupError,
     FluidVacuumBreachError,
+    IntegrationError,
     Status,
     TimeConfig,
+    _rk_advance,
+    cfl_dt,
 )
 
 
@@ -162,34 +165,6 @@ class KineticRunResult:
     status: Status
 
 
-def _fluid_step_rk4(
-    grid: Grid,
-    n: np.ndarray,
-    j: np.ndarray,
-    params: FluidParams,
-    rho_dep: np.ndarray,
-    m_dep: np.ndarray,
-    dt: float,
-):
-    """RK4 on the carrier fluid with the deposited-drag source frozen."""
-
-    def rates(nc, jc):
-        v = jc / (1.0 + nc)
-        d_n, d_j = fluid_terms(grid, nc, jc, v, params)
-        if params.drag_on:
-            d_j += grid.dealias(m_dep - rho_dep * v[0])[None]
-        return d_n, d_j
-
-    k1 = rates(n, j)
-    k2 = rates(n + 0.5 * dt * k1[0], j + 0.5 * dt * k1[1])
-    k3 = rates(n + 0.5 * dt * k2[0], j + 0.5 * dt * k2[1])
-    k4 = rates(n + dt * k3[0], j + dt * k3[1])
-    n_new = n + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    j_new = j + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    n_new = n_new - np.mean(n_new)
-    return n_new, j_new
-
-
 def kinetic_run(
     ens: ParticleEnsemble,
     n0: np.ndarray,
@@ -201,7 +176,11 @@ def kinetic_run(
     """Strang-split coupled advance: half particle push, fluid step with
     frozen deposited moments, half push with the updated fluid velocity.
 
-    With an empty ensemble this reduces to the plain compressible solver.
+    The fluid step is ``cfg.scheme`` on (n, j) with the deposited drag
+    dealias(m_dep - rho_dep * v) as a source.  With an empty ensemble this
+    reduces to the plain compressible solver.  A step that leaves the
+    admissible set ends the run early: the result holds the last good state
+    and the stop status.
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
@@ -215,39 +194,43 @@ def kinetic_run(
     status = Status.COMPLETED
     t_end = cfg.t_end
     eps = 1e-12 * max(1.0, t_end)
-    diff_coeff = 2.0 * params.mu + params.lam
 
     while t < t_end - eps:
         v = j[0] / (1.0 + n)
-        cs = _sound_speed_from_n(n, params)
-        speed = float(np.max(np.abs(v))) + cs
+        speed = float(np.max(np.abs(v))) + sound_speed_max(n, params)
         if ens.size:
             speed = max(speed, float(np.max(np.abs(ens.xi))))
-        advective = cfg.cfl_advective * grid.dx / speed if speed > 0 else math.inf
-        diffusive = cfg.cfl_diffusive * grid.dx**2 / diff_coeff
-        dt = min(advective, diffusive, cfg.dt_max, t_end - t)
+        dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
 
-        if ens.size:
-            ens = push(ens, v, 0.5 * dt, grid)
-        moments = deposit(ens, grid)
-        n, j = _fluid_step_rk4(grid, n, j, params, moments.rho, moments.m, dt)
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(j))):
-            raise BlowupError("non-finite fluid state in kinetic run")
-        if float(np.min(1.0 + n)) <= 0.0:
-            raise FluidVacuumBreachError("fluid vacuum in kinetic run")
-        if ens.size:
-            ens = push(ens, j[0] / (1.0 + n), 0.5 * dt, grid)
+        half = push(ens, v, 0.5 * dt, grid) if ens.size else ens
+        moments = deposit(half, grid)
+
+        def rates(y):
+            n_s, j_s = y
+            v_s = j_s / (1.0 + n_s)
+            d_n, d_j = fluid_rates(grid, n_s, j_s, v_s, params)
+            if params.drag_on:
+                d_j += grid.dealias(moments.m - moments.rho * v_s[0])[None]
+            return d_n, d_j
+
+        try:
+            n_new, j_new = _rk_advance((n, j), rates, dt, cfg.scheme)
+            n_new -= np.mean(n_new)
+            if not (np.all(np.isfinite(n_new)) and np.all(np.isfinite(j_new))):
+                raise BlowupError("non-finite fluid state in kinetic run")
+            if float(np.min(1.0 + n_new)) <= 0.0:
+                raise FluidVacuumBreachError("fluid vacuum in kinetic run")
+        except IntegrationError as err:
+            status = err.status
+            break
+        n, j = n_new, j_new
+        ens = push(half, j[0] / (1.0 + n), 0.5 * dt, grid) if ens.size else half
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:
             samples.append(KineticSample(t, deposit(ens, grid), n.copy(), j.copy()))
 
     return KineticRunResult(ens, n, j, t, steps, samples, status)
-
-
-def _sound_speed_from_n(n: np.ndarray, params: FluidParams) -> float:
-    n1_max = float(np.max(1.0 + n))
-    return float(np.sqrt(params.gamma * n1_max ** (params.gamma - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +265,12 @@ def compare_once(
 
     hydro = hydro_run(state0, params, cfg)
     if hydro.status != Status.COMPLETED:
-        raise KineticError(f"grid reference run stopped: {hydro.status}")
+        raise KineticError(f"grid reference run stopped: {hydro.status.value}")
     u0 = state0.m[0] / state0.rho
     ens = monokinetic_ensemble(grid, state0.rho, u0, n_particles)
     kin = kinetic_run(ens, state0.n, state0.j, grid, params, cfg)
+    if kin.status != Status.COMPLETED:
+        raise KineticError(f"particle run stopped: {kin.status.value}")
     moments = deposit(kin.ensemble, grid)
 
     h = hydro.final_state

@@ -12,7 +12,6 @@ from .dynamics import (
     FluidParams,
     NonPositiveDensity,
     State,
-    StateRates,
     grad_velocity_max,
     max_speed,
     rhs,
@@ -92,10 +91,14 @@ def compute_dt(
     state: State, params: FluidParams, cfg: TimeConfig, floor: float = VACUUM_FLOOR
 ) -> float:
     """min of the advective CFL, the diffusive CFL, and dt_max."""
-    speed = max_speed(state, params, floor)
+    return cfl_dt(max_speed(state, params, floor), state.grid.dx, params, cfg)
+
+
+def cfl_dt(speed: float, dx: float, params: FluidParams, cfg: TimeConfig) -> float:
+    """min of the advective CFL for signal speed ``speed``, the diffusive
+    CFL, and dt_max, on a grid of spacing ``dx``."""
     if not math.isfinite(speed):
         raise DegenerateState(f"max signal speed is {speed}")
-    dx = state.grid.dx
     advective = cfg.cfl_advective * dx / speed if speed > 0.0 else math.inf
     diffusive = cfg.cfl_diffusive * dx * dx / (2.0 * params.mu + params.lam)
     dt = min(advective, diffusive, cfg.dt_max)
@@ -104,17 +107,41 @@ def compute_dt(
     return dt
 
 
-def _combine(grid, base: State, rates: list[tuple[float, StateRates]]) -> State:
-    rho = base.rho.copy()
-    m = base.m.copy()
-    n = base.n.copy()
-    j = base.j.copy()
+def _combine(base: tuple, rates: list[tuple[float, tuple]]) -> list:
+    out = [a.copy() for a in base]
     for c, r in rates:
-        rho += c * r.d_rho
-        m += c * r.d_m
-        n += c * r.d_n
-        j += c * r.d_j
-    return State(grid, rho, m, n, j)
+        for a, d in zip(out, r):
+            a += c * d
+    return out
+
+
+def _rk_advance(y: tuple, f, dt: float, scheme: str) -> list:
+    """One explicit Runge-Kutta step of y' = f(y) over a tuple of arrays;
+    returns the advanced arrays, newly allocated, in the same order.
+
+    A stage that leaves the fluid's admissible set (``NonPositiveDensity``
+    from ``f``) raises FluidVacuumBreachError.
+    """
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            if scheme == "rk4":
+                k1 = f(y)
+                k2 = f(_combine(y, [(0.5 * dt, k1)]))
+                k3 = f(_combine(y, [(0.5 * dt, k2)]))
+                k4 = f(_combine(y, [(dt, k3)]))
+                return _combine(
+                    y, [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)]
+                )
+            if scheme == "ssp_rk3":
+                k1 = f(y)
+                k2 = f(_combine(y, [(dt, k1)]))
+                k3 = f(_combine(y, [(0.25 * dt, k1), (0.25 * dt, k2)]))
+                return _combine(
+                    y, [(dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3)]
+                )
+            raise ValueError(f"unknown scheme {scheme!r}")
+    except NonPositiveDensity as err:
+        raise FluidVacuumBreachError(str(err)) from err
 
 
 @dataclass
@@ -136,37 +163,14 @@ def step(
     the advanced state leaves the admissible set.
     """
     g = state.grid
-    f = lambda s: rhs(s, params, floor)
-    try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            if scheme == "rk4":
-                k1 = f(state)
-                k2 = f(_combine(g, state, [(0.5 * dt, k1)]))
-                k3 = f(_combine(g, state, [(0.5 * dt, k2)]))
-                k4 = f(_combine(g, state, [(dt, k3)]))
-                new = _combine(
-                    g,
-                    state,
-                    [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)],
-                )
-                stages = (k1, k2, k3, k4)
-            elif scheme == "ssp_rk3":
-                k1 = f(state)
-                s1 = _combine(g, state, [(dt, k1)])
-                k2 = f(s1)
-                s2 = _combine(g, state, [(0.25 * dt, k1), (0.25 * dt, k2)])
-                k3 = f(s2)
-                new = _combine(
-                    g, state, [(dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3)]
-                )
-                stages = (k1, k2, k3)
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-    except NonPositiveDensity as err:
-        # a stage state left the admissible set
-        raise FluidVacuumBreachError(str(err)) from err
+    info = StepInfo()
 
-    info = StepInfo(floor_active=any(k.floor_active for k in stages))
+    def f(y):
+        rates = rhs(State(g, *y), params, floor)
+        info.floor_active = info.floor_active or rates.floor_active
+        return rates.d_rho, rates.d_m, rates.d_n, rates.d_j
+
+    new = State(g, *_rk_advance((state.rho, state.m, state.n, state.j), f, dt, scheme))
 
     # round-off guard: keep the conserved mean(n) at exactly zero
     reproj = float(np.mean(new.n))

@@ -1,11 +1,12 @@
 """Particle reference solver: push/deposit oracles, kernel-path agreement,
 conservation, and the coupled-run comparison against the grid solver."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dragflow import kernels
+from dragflow import kernels, kinetic
 from dragflow.dynamics import FluidParams
 from dragflow.grid import TWO_PI, Grid
 from dragflow.initial import InitSpec, generate_initial
@@ -229,21 +230,56 @@ def test_kinetic_run_conserves_total_momentum():
     assert abs(p1 - p0) / scale < 1e-6
 
 
-def test_kinetic_run_empty_ensemble_is_pure_fluid():
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+def test_kinetic_run_empty_ensemble_is_pure_fluid(scheme):
     g = Grid(1, 64)
     spec = InitSpec(kind="single_mode", amplitudes={"n": 0.05, "v": 0.05})
     state0 = generate_initial(spec, g)
     state0.rho[:] = 1.0  # grid solver needs mass; coupling removed below
     state0.m[:] = 0.0
     empty = ParticleEnsemble(np.zeros(0), np.zeros(0), np.zeros(0))
-    cfg = TimeConfig(t_end=0.5, dt_max=1e-3, record_every=10**9)
+    cfg = TimeConfig(t_end=0.5, dt_max=1e-3, record_every=10**9, scheme=scheme)
     kin = kinetic_run(empty, state0.n, state0.j, g, PARAMS, cfg)
 
     params_off = FluidParams(gamma=2.0, mu=1.0, lam=0.0, drag_on=False)
     hydro = run(state0, params_off, cfg)
     assert hydro.status == Status.COMPLETED
-    assert np.max(np.abs(kin.n - hydro.final_state.n)) < 1e-10
-    assert np.max(np.abs(kin.j - hydro.final_state.j)) < 1e-10
+    assert np.max(np.abs(kin.n - hydro.final_state.n)) < 1e-13
+    assert np.max(np.abs(kin.j - hydro.final_state.j)) < 1e-13
+
+
+def test_kinetic_run_returns_stop_status():
+    # with cfl_diffusive = 1, dt * (2 mu + lam) * k_max^2 is about 9.9 for the
+    # top mode, far outside RK4's stability interval (about 2.8): round-off
+    # grows until the fluid hits vacuum
+    g = Grid(1, 64)
+    spec = InitSpec(kind="single_mode", amplitudes={"n": 0.05, "v": 0.05})
+    state0 = generate_initial(spec, g)
+    empty = ParticleEnsemble(np.zeros(0), np.zeros(0), np.zeros(0))
+    cfg = TimeConfig(t_end=2.0, cfl_diffusive=1.0, dt_max=1.0, record_every=1)
+    kin = kinetic_run(empty, state0.n, state0.j, g, PARAMS, cfg)
+    assert kin.status == Status.FLUID_VACUUM_BREACH
+    assert 0 < kin.steps == len(kin.samples) - 1
+    assert 0.0 < kin.t_final < cfg.t_end
+    assert kin.samples[-1].t == kin.t_final
+    # the result is the last good state
+    assert np.all(np.isfinite(kin.n)) and np.all(np.isfinite(kin.j))
+    assert float(np.min(1.0 + kin.n)) > 0.0
+    np.testing.assert_array_equal(kin.samples[-1].n, kin.n)
+
+
+def test_compare_once_rejects_stopped_particle_run(monkeypatch):
+    g = Grid(1, 32)
+    spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.05, "u": 0.05, "n": 0.05, "v": 0.05})
+    state0 = generate_initial(spec, g)
+    real_run = kinetic.kinetic_run
+
+    def stopped(*args):
+        return replace(real_run(*args), status=Status.BLOWUP)
+
+    monkeypatch.setattr(kinetic, "kinetic_run", stopped)
+    with pytest.raises(kinetic.KineticError, match="particle run stopped: blowup"):
+        compare_once(g, state0, PARAMS, TimeConfig(t_end=0.01), 1000)
 
 
 def test_zero_drag_particles_decouple():
