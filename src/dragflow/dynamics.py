@@ -6,6 +6,12 @@ mean(n) = 0), and fluid momentum j = (1+n)*v.  Primitive velocities are
 derived.  Quadratic and cubic products feeding flux divergences, the
 pressure, and the drag are dealiased with the 2/3 rule so that the
 semi-discrete conservation defects are pure round-off.
+
+The rates are assembled on the half spectrum of the grid's real
+transforms: ``rhs`` stacks every field and product it needs into one
+forward transform call and brings all rates back in one inverse call.
+The fluxes m u and j v are symmetric, so only their pairs a <= b are
+transformed.
 """
 from __future__ import annotations
 
@@ -113,55 +119,116 @@ def primitive_velocity(
     return momentum / np.maximum(density, floor)[None], flagged
 
 
+def _pairs(dim: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b) with a <= b: the distinct entries of a symmetric flux."""
+    return [(a, b) for a in range(dim) for b in range(a, dim)]
+
+
+def _flux_divergence(grid: Grid, flux_hat: np.ndarray, a: int) -> np.ndarray:
+    """Spectrum of -sum_b d_b F_ab, 2/3 rule folded in; flux_hat holds F's pairs."""
+    pairs = _pairs(grid.dim)
+    return -sum(
+        grid._ik_dealias[b] * flux_hat[pairs.index((min(a, b), max(a, b)))]
+        for b in range(grid.dim)
+    )
+
+
+def _fluid_stack(
+    grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, gamma: float, extra: int = 0
+) -> np.ndarray:
+    """Physical fields of the fluid rates: j, v, p - 1 and the pairs j_a v_b,
+    followed by ``extra`` unfilled slots.
+
+    Raises NonPositiveDensity when min(1+n) <= 0, where the pressure is
+    undefined.
+    """
+    if float(np.min(1.0 + n)) <= 0.0:
+        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
+    d = grid.dim
+    pairs = _pairs(d)
+    out = np.empty((2 * d + 1 + len(pairs) + extra,) + grid.shape)
+    out[:d], out[d : 2 * d], out[2 * d] = j, v, pressure_minus_one(n, gamma)
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(j[a], v[b], out=out[2 * d + 1 + k])
+    return out
+
+
+def _fluid_spectra(
+    grid: Grid, hat: np.ndarray, params: FluidParams, extra: int = 0
+) -> np.ndarray:
+    """Spectra of d_n and d_j (drag-free) from a transformed ``_fluid_stack``,
+    followed by ``extra`` unfilled slots."""
+    d = grid.dim
+    jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
+    flux_hat = hat[2 * d + 1 : 2 * d + 1 + len(_pairs(d))]
+    out = np.empty((1 + d + extra,) + grid._half_shape, dtype=complex)
+    out[0] = -sum(grid._ik[a] * jhat[a] for a in range(d))
+    div_v_hat = sum(grid._ik[a] * vhat[a] for a in range(d))
+    for a in range(d):
+        # pressure, viscous mu*lap(v) + (mu+lam)*grad(div v), then the j v flux
+        acc = -grid._ik_dealias[a] * p1hat
+        acc += params.mu * (-grid._k2) * vhat[a]
+        acc += (params.mu + params.lam) * grid._ik[a] * div_v_hat
+        acc += _flux_divergence(grid, flux_hat, a)
+        out[1 + a] = acc
+    return out
+
+
 def fluid_rates(
     grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, params: FluidParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drag-free fluid rates (d_n, d_j), assembled in spectral space.
 
-    One forward transform per field/product and one inverse per output
-    component; the 2/3-rule mask is folded into the flux and pressure
-    derivative multipliers.  Raises NonPositiveDensity when min(1+n) <= 0,
-    where the pressure is undefined.
+    One forward transform call on the stacked fields and products, one
+    inverse call on the stacked rates.  Raises NonPositiveDensity when
+    min(1+n) <= 0, where the pressure is undefined.
     """
-    if float(np.min(1.0 + n)) <= 0.0:
-        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
-    jhat = grid._fft(j)
-    d_n = -grid._ifft(sum(grid._ik[a] * jhat[a] for a in range(grid.dim)))
-    vhat = grid._fft(v)
-    div_v_hat = sum(grid._ik[a] * vhat[a] for a in range(grid.dim))
-    p1hat = grid._fft(pressure_minus_one(n, params.gamma))
-    d_j = np.empty_like(j)
-    for a in range(grid.dim):
-        acc = -grid._ik_dealias[a] * p1hat
-        acc += params.mu * (-grid._k2) * vhat[a]  # viscous: mu*lap(v) + (mu+lam)*grad(div v)
-        acc += (params.mu + params.lam) * grid._ik[a] * div_v_hat
-        for b in range(grid.dim):
-            acc -= grid._ik_dealias[b] * grid._fft(j[a] * v[b])
-        d_j[a] = grid._ifft(acc)
-    return d_n, d_j
+    hat = grid._fft(_fluid_stack(grid, n, j, v, params.gamma))
+    rates = grid._ifft(_fluid_spectra(grid, hat, params))
+    return rates[0], rates[1:]
 
 
 def rhs(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) -> StateRates:
-    """Semi-discrete rates of the coupled system in conservative variables."""
+    """Semi-discrete rates of the coupled system in conservative variables.
+
+    Every field and product the rates need is transformed in one forward
+    call; the 2 + 2*dim rate spectra are assembled on the half spectrum and
+    brought back in one inverse call.
+    """
     g = state.grid
+    d = g.dim
+    pairs = _pairs(d)
     u, flag_u = primitive_velocity(state.rho, state.m, floor)
     v, _ = primitive_velocity(1.0 + state.n, state.j, floor)
 
-    mhat = g._fft(state.m)
-    d_rho = -g._ifft(sum(g._ik[a] * mhat[a] for a in range(g.dim)))
-    d_m = np.empty_like(state.m)
-    for a in range(g.dim):
-        acc = np.zeros(g.shape, dtype=complex)
-        for b in range(g.dim):
-            acc -= g._ik_dealias[b] * g._fft(state.m[a] * u[b])
-        d_m[a] = g._ifft(acc)
-    d_n, d_j = fluid_rates(g, state.n, state.j, v, params)
+    # physical stack: the fluid fields, then m, the pairs m_a u_b and rho*(u - v)
+    extra = d + len(pairs) + d * params.drag_on
+    phys = _fluid_stack(g, state.n, state.j, v, params.gamma, extra)
+    m_at = len(phys) - extra
+    drag_at = m_at + d + len(pairs)
+    phys[m_at : m_at + d] = state.m
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(state.m[a], u[b], out=phys[m_at + d + k])
     if params.drag_on:
-        # computed once so the two contributions cancel exactly pointwise
-        drag = g.dealias(state.rho * (u - v))
-        d_m -= drag
-        d_j += drag
-    return StateRates(d_rho, d_m, d_n, d_j, floor_active=flag_u)
+        np.multiply(state.rho, u - v, out=phys[drag_at:])
+    hat = g._fft(phys)
+    del phys  # each stack is dropped once used: the 3-D transient footprint
+
+    # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
+    out = _fluid_spectra(g, hat, params, 1 + d)
+    out[1 + d] = -sum(g._ik[a] * hat[m_at + a] for a in range(d))
+    for a in range(d):
+        out[2 + d + a] = _flux_divergence(g, hat[m_at + d : drag_at], a)
+    if params.drag_on:
+        # one dealiased array, applied with both signs
+        drag_hat = g._dealias_keep * hat[drag_at:]
+        out[2 + d :] -= drag_hat
+        out[1 : 1 + d] += drag_hat
+    del hat
+    rates = g._ifft(out)
+    return StateRates(
+        rates[1 + d], rates[2 + d :], rates[0], rates[1 : 1 + d], floor_active=flag_u
+    )
 
 
 def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
@@ -188,8 +255,5 @@ def grad_velocity_max(state: State, floor: float = VACUUM_FLOOR) -> float:
 
 def gradient_norm_max(grid: Grid, u: np.ndarray) -> float:
     """Grid max of the Frobenius norm of grad(u) for a given velocity field."""
-    total = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        grad = grid.gradient(u[a])
-        total += np.sum(grad * grad, axis=0)
-    return float(np.sqrt(np.max(total)))
+    grad = grid.gradient(u)
+    return float(np.sqrt(np.max(np.sum(grad * grad, axis=(0, 1)))))

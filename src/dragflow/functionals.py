@@ -139,10 +139,8 @@ class _Fields:
         if not gradients:
             return
 
-        self.grad_v = np.empty((g.dim, g.dim) + g.shape)  # filled in place: no stacking copy
-        for a in range(g.dim):
-            self.grad_v[a] = g.gradient(self.v[a])
-        # div v = sum of d_a v_a, added in the order of Grid.divergence
+        self.grad_v = g.gradient(self.v)  # grad_v[a, b] = d_b v_a
+        # div v = sum of d_a v_a, the trace of grad v
         self.div_v = self.grad_v[0, 0].copy()
         gradsq = _mean(_dot_sq(self.grad_v[0]))
         for a in range(1, g.dim):
@@ -261,9 +259,7 @@ def _sigma_terms(f: _Fields) -> tuple[float, ...]:
     """I4-I10, the dissipation terms of the sigma correction."""
     s, p, sigma, lift = f.state, f.params, f.sigma, f.lift
     g = s.grid
-    hess = np.empty((g.dim, g.dim) + g.shape)  # d_b d_a phi
-    for a in range(g.dim):
-        hess[a] = g.gradient(lift[a])
+    hess = g.gradient(lift)  # d_b d_a phi
     flux = g.dealias(s.j[:, None] * f.v[None, :])
     i4 = sigma * _mean(np.sum(flux * hess, axis=(0, 1)))
     i5 = sigma * _mean(s.n * g.dealias(pressure_minus_one(s.n, p.gamma)))

@@ -6,6 +6,12 @@ Poincare constant for mean-zero fields is exactly 1.  Scalar fields are
 float arrays of shape ``grid.shape``; vector fields (and any stack of
 scalars) carry extra leading axes.
 
+Every field is real, so the transforms are real-to-complex: a spectrum
+is the half spectrum of ``rfftn`` (the last axis holds k >= 0 only), and
+the Fourier symbols are built once on it.  Both transforms accept a stack
+of fields with leading axes, so a caller transforms everything it needs
+in one call each way.
+
 All operations are pure: input arrays are never mutated.  Fields may be
 shared freely across threads for reading.
 """
@@ -33,7 +39,7 @@ class Norms(NamedTuple):
 
 
 class Grid:
-    """Uniform grid on [0, 2*pi)^dim with cached Fourier symbols.
+    """Uniform grid on [0, 2*pi)^dim with Fourier symbols cached on the half spectrum.
 
     Nyquist modes are zeroed in every differential operator (the odd
     derivative of the Nyquist mode is not representable on the grid), and
@@ -57,28 +63,35 @@ class Grid:
         self.volume = TWO_PI**dim
         self.cell_volume = self.dx**dim
 
-        k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
-        k_deriv = k.copy()
-        k_deriv[n // 2] = 0.0  # Nyquist removed from derivatives
+        self._axes = tuple(range(-dim, 0))
+        self._half_shape = self.shape[:-1] + (n // 2 + 1,)
 
         def along(axis: int, arr: np.ndarray) -> np.ndarray:
             shape = [1] * dim
-            shape[axis] = n
+            shape[axis] = arr.size
             return arr.reshape(shape)
 
-        self._ik = [1j * along(a, k_deriv) for a in range(dim)]
-        self._k2 = sum(along(a, k_deriv) ** 2 for a in range(dim))
+        # integer wavenumbers as floats; the last axis holds k >= 0 only
+        k = [np.fft.fftfreq(n, d=1.0 / n)] * (dim - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        self._k = [along(a, k[a]) for a in range(dim)]
+        # Nyquist (index n // 2 on every axis) removed from derivatives
+        k_deriv = [np.where(np.arange(k[a].size) == n // 2, 0.0, k[a]) for a in range(dim)]
+        self._ik = [1j * along(a, k_deriv[a]) for a in range(dim)]
+        self._k2 = sum(along(a, k_deriv[a]) ** 2 for a in range(dim))
         # -1/|k|^2 on the modes the derivatives act on, 0 elsewhere
         self._inv_neg_k2 = np.where(
             self._k2 > 0.0, -1.0 / np.where(self._k2 > 0.0, self._k2, 1.0), 0.0
         )
-        cutoff = n / 3.0
-        keep = np.ones((), dtype=bool)
-        for a in range(dim):
-            keep = keep & (np.abs(along(a, k)) <= cutoff)
-        self._dealias_keep = keep
+        self._dealias_keep = self._box(n / 3.0)
         # derivative with the 2/3-rule truncation folded in (diagonal ops commute)
-        self._ik_dealias = [ik * keep for ik in self._ik]
+        self._ik_dealias = [ik * self._dealias_keep for ik in self._ik]
+
+    def _box(self, kmax: float) -> np.ndarray:
+        """Half-spectrum mask of the modes with every |k_axis| <= kmax."""
+        keep = np.ones((), dtype=bool)
+        for k in self._k:
+            keep = keep & (np.abs(k) <= kmax)
+        return keep
 
     # -- basic geometry -------------------------------------------------
 
@@ -101,26 +114,42 @@ class Grid:
     # -- transforms -----------------------------------------------------
 
     def _fft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field or of a stack with leading axes."""
         if self.dim == 1:
-            return np.fft.fft(f, axis=-1)
-        return np.fft.fftn(f, axes=tuple(range(-self.dim, 0)))
+            return np.fft.rfft(f, axis=-1)
+        if self.dim == 2 or f.ndim == 3:
+            return np.fft.rfftn(f, axes=self._axes)
+        # a stack of 3-D fields: field by field beats one stacked call
+        out = np.empty(f.shape[:-3] + self._half_shape, dtype=complex)
+        for i in np.ndindex(f.shape[:-3]):
+            out[i] = np.fft.rfftn(f[i], axes=self._axes)
+        return out
 
     def _ifft(self, fhat: np.ndarray) -> np.ndarray:
+        """Real field(s) from half spectra; the inverse of _fft."""
         if self.dim == 1:
-            return np.fft.ifft(fhat, axis=-1).real
-        return np.fft.ifftn(fhat, axes=tuple(range(-self.dim, 0))).real
+            return np.fft.irfft(fhat, n=self.n, axis=-1)
+        if self.dim == 2 or fhat.ndim == 3:
+            return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
+        out = np.empty(fhat.shape[:-3] + self.shape)
+        for i in np.ndindex(fhat.shape[:-3]):
+            out[i] = np.fft.irfftn(fhat[i], s=self.shape, axes=self._axes)
+        return out
 
     # -- differential operators ------------------------------------------
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
+        """Gradient of a field, or of each field of a stack.
+
+        Maps ``lead + shape`` to ``lead + (dim,) + shape`` in one forward
+        and one inverse transform call.
+        """
         fhat = self._fft(f)
-        return np.stack([self._ifft(fhat * self._ik[a]) for a in range(self.dim)])
+        return self._ifft(np.stack([fhat * ik for ik in self._ik], axis=-self.dim - 1))
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
-        out = self._ifft(self._fft(v[0]) * self._ik[0])
-        for a in range(1, self.dim):
-            out += self._ifft(self._fft(v[a]) * self._ik[a])
-        return out
+        vhat = self._fft(v)
+        return self._ifft(sum(self._ik[a] * vhat[a] for a in range(self.dim)))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self._ifft(self._fft(f) * (-self._k2))
@@ -163,9 +192,8 @@ class Grid:
             comps = f.reshape((-1,) + self.shape)
         l2sq = sum(self.integral(c * c) for c in comps)
         gradsq = 0.0
-        for c in comps:
-            g = self.gradient(c)
-            gradsq += sum(self.integral(g[a] * g[a]) for a in range(self.dim))
+        for g in self.gradient(comps):
+            gradsq += sum(self.integral(c * c) for c in g)
         linf = float(np.max(np.sqrt(np.sum(comps * comps, axis=0))))
         return Norms(float(np.sqrt(l2sq)), float(np.sqrt(l2sq + gradsq)), linf)
 
@@ -184,14 +212,7 @@ def random_band_limited(
     if kmax is None:
         kmax = grid.n // 3
     white = rng.standard_normal(grid.shape)
-    what = grid._fft(white)
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    keep = np.ones((), dtype=bool)
-    for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = grid.n
-        keep = keep & (np.abs(k.reshape(shape)) <= kmax)
-    f = grid._ifft(what * keep)
+    f = grid._ifft(grid._fft(white) * grid._box(kmax))
     if mean_zero:
         f = f - np.mean(f)
     scale = float(np.max(np.abs(f)))

@@ -16,7 +16,7 @@ from dragflow.dynamics import (
     rhs,
     sound_speed_max,
 )
-from dragflow.grid import Grid
+from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
 
 
@@ -169,23 +169,74 @@ def test_rhs_matches_finite_differences_at_second_order(dim):
     assert 3.3 < ratio < 4.7
 
 
-def test_semi_discrete_conservation_on_random_states():
-    g = Grid(1, 64)
-    params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
-    rng = np.random.default_rng(2)
-    from dragflow.grid import random_band_limited
+def random_state(grid, rng, amp=0.2):
+    """Random band-limited admissible state: rho > 0, 1+n > 0, mean(n) = 0."""
+    def vec():
+        return amp * np.stack([random_band_limited(grid, rng) for _ in range(grid.dim)])
 
+    rho = 1.0 + amp * random_band_limited(grid, rng)
+    u = vec()
+    n = amp * random_band_limited(grid, rng)
+    v = vec()
+    return make_state(grid, rho, u, n, v)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_semi_discrete_conservation_on_random_states(dim, n):
+    g = Grid(dim, n)
+    rng = np.random.default_rng(2)
     for _ in range(10):
-        rho = 1.0 + 0.2 * random_band_limited(g, rng)
-        u = (0.2 * random_band_limited(g, rng))[None]
-        n = 0.2 * random_band_limited(g, rng)
-        v = (0.2 * random_band_limited(g, rng))[None]
-        state = make_state(g, rho, u, n, v)
+        state = random_state(g, rng)
+        for drag_on in (True, False):
+            params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3, drag_on=drag_on)
+            rates = rhs(state, params)
+            scale = max(np.max(np.abs(rates.d_m)), np.max(np.abs(rates.d_j)), 1e-30)
+            assert abs(np.mean(rates.d_rho)) < 1e-10 * scale
+            assert abs(np.mean(rates.d_n)) < 1e-10 * scale
+            momentum = np.mean(rates.d_m + rates.d_j, axis=tuple(range(1, dim + 1)))
+            assert np.max(np.abs(momentum)) < 1e-10 * scale
+
+
+def _operator_rhs(state, params):
+    """The rates built term by term from the public Grid operators."""
+    g = state.grid
+    u, _ = primitive_velocity(state.rho, state.m)
+    v, _ = primitive_velocity(1.0 + state.n, state.j)
+    d_rho = -g.divergence(state.m)
+    d_n = -g.divergence(state.j)
+    grad_p = g.gradient(g.dealias(pressure_minus_one(state.n, params.gamma)))
+    grad_div_v = g.gradient(g.divergence(v))
+    d_m = np.empty_like(state.m)
+    d_j = np.empty_like(state.j)
+    for a in range(g.dim):
+        d_m[a] = -g.divergence(g.dealias(state.m[a] * u))
+        d_j[a] = (
+            -g.divergence(g.dealias(state.j[a] * v))
+            - grad_p[a]
+            + params.mu * g.laplacian(v[a])
+            + (params.mu + params.lam) * grad_div_v[a]
+        )
+    if params.drag_on:
+        drag = g.dealias(state.rho * (u - v))
+        d_m -= drag
+        d_j += drag
+    return d_rho, d_m, d_n, d_j
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("drag_on", [True, False])
+def test_rhs_matches_term_by_term_operators(dim, n, drag_on):
+    # catches a wrong flux entry in the batched, symmetric-pair assembly
+    g = Grid(dim, n)
+    params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3, drag_on=drag_on)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        state = random_state(g, rng)
         rates = rhs(state, params)
-        scale = max(np.max(np.abs(rates.d_m)), np.max(np.abs(rates.d_j)), 1e-30)
-        assert abs(np.mean(rates.d_rho)) < 1e-10 * scale
-        assert abs(np.mean(rates.d_n)) < 1e-10 * scale
-        assert abs(np.mean(rates.d_m + rates.d_j)) < 1e-10 * scale
+        got = (rates.d_rho, rates.d_m, rates.d_n, rates.d_j)
+        for name, a, b in zip(("d_rho", "d_m", "d_n", "d_j"), got, _operator_rhs(state, params)):
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b)), name
 
 
 def test_drag_antisymmetry():

@@ -80,6 +80,42 @@ def test_div_grad_equals_laplacian(dim, n):
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_real_transform_roundtrips_a_stack(dim, n):
+    # the 3-D stack goes through the field-by-field path
+    g = Grid(dim, n)
+    f = np.random.default_rng(dim).standard_normal((3,) + g.shape)
+    fhat = g._fft(f)
+    assert fhat.shape == (3,) + g.shape[:-1] + (n // 2 + 1,)
+    assert np.max(np.abs(g._ifft(fhat) - f)) < 1e-14 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_gradient_of_a_stack_matches_each_field(dim, n):
+    g = Grid(dim, n)
+    rng = np.random.default_rng(4)
+    f = np.stack([random_band_limited(g, rng) for _ in range(2)])
+    grad = g.gradient(f)
+    assert grad.shape == (2, dim) + g.shape
+    for i in range(2):
+        assert np.max(np.abs(grad[i] - g.gradient(f[i]))) < 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("kmax", [None, 3])
+def test_random_band_limited_has_no_energy_beyond_kmax(dim, n, kmax):
+    g = Grid(dim, n)
+    f = random_band_limited(g, np.random.default_rng(13), kmax=kmax)
+    fhat = np.fft.fftn(f)  # full complex spectrum, independent of the grid's symbols
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    beyond = np.zeros(g.shape, dtype=bool)
+    for a in range(dim):
+        shape = [1] * dim
+        shape[a] = n
+        beyond = beyond | (np.abs(k.reshape(shape)) > (n // 3 if kmax is None else kmax))
+    assert np.max(np.abs(fhat[beyond])) < 1e-13 * np.max(np.abs(fhat))
+
+
 def test_dealias_fixes_band_limited():
     g = Grid(1, 64)
     f = random_band_limited(g, np.random.default_rng(3))  # modes <= n/3
