@@ -239,6 +239,26 @@ def test_rhs_matches_term_by_term_operators(dim, n, drag_on):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b)), name
 
 
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_rhs_makes_one_transform_call_each_way(dim, n):
+    g = Grid(dim, n)
+    calls = []
+
+    def counted(name, transform):
+        def wrapper(f):
+            calls.append((name, f.shape[0]))
+            return transform(f)
+        return wrapper
+
+    state = random_state(g, np.random.default_rng(0))
+    g._fft = counted("forward", g._fft)
+    g._ifft = counted("inverse", g._ifft)
+    pairs = dim * (dim + 1) // 2
+    rhs(state, FluidParams(gamma=1.4, mu=0.5, lam=-0.3))
+    # m, j, v, p - 1, the pairs m_a u_b and j_a v_b, rho*(u - v); then the 2 + 2*dim rates
+    assert calls == [("forward", 4 * dim + 1 + 2 * pairs), ("inverse", 2 + 2 * dim)]
+
+
 def test_drag_antisymmetry():
     # one array is applied with both signs; reconstructing it by
     # differencing the rates only adds one rounding per entry
