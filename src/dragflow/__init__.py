@@ -32,7 +32,7 @@ from .functionals import (
     pressure_potential_bounds,
     total_energy,
 )
-from .grid import Grid, empirical_bogovskii_constant
+from .grid import BOGOVSKII_CONSTANT, Grid
 from .initial import InitSpec, generate_initial
 from .kinetic import ParticleEnsemble, closure_gap, deposit, kinetic_run, push
 from .stepping import RunResult, Status, TimeConfig, compute_dt, run, step
@@ -40,6 +40,7 @@ from .stepping import RunResult, Status, TimeConfig, compute_dt, run, step
 __version__ = "0.1.0"
 
 __all__ = [
+    "BOGOVSKII_CONSTANT",
     "Averages",
     "DecayFit",
     "DiagnosticsRecord",
@@ -62,7 +63,6 @@ __all__ = [
     "deposit",
     "dissipation",
     "dissipation_domination_check",
-    "empirical_bogovskii_constant",
     "energy_density_e0",
     "equivalence_constants",
     "generate_initial",

@@ -29,7 +29,7 @@ from .dynamics import (
     pressure_minus_one,
     primitive_velocity,
 )
-from .grid import Grid, empirical_bogovskii_constant
+from .grid import BOGOVSKII_CONSTANT, Grid
 
 
 class DiagnosticsError(ValueError):
@@ -611,16 +611,6 @@ class DiagnosticsRecord:
     flags: tuple[str, ...] = ()
 
 
-_CSTAR_CACHE: dict[tuple[int, int], float] = {}
-
-
-def cached_bogovskii_constant(grid: Grid) -> float:
-    key = (grid.dim, grid.n)
-    if key not in _CSTAR_CACHE:
-        _CSTAR_CACHE[key] = empirical_bogovskii_constant(grid)
-    return _CSTAR_CACHE[key]
-
-
 class Recorder:
     """Evaluates the full diagnostics bundle for one run.
 
@@ -639,7 +629,7 @@ class Recorder:
     ):
         self.grid = grid
         self.params = params
-        self.cstar = cstar if cstar is not None else cached_bogovskii_constant(grid)
+        self.cstar = cstar if cstar is not None else BOGOVSKII_CONSTANT
         self._sigma_override = sigma
         self.sigma: float | None = None
         self.averages0: Averages | None = None

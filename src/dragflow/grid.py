@@ -22,6 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# sup of ||bogovskii(f)||_H1 / ||f||_L2: the lift scales mode k by 1/|k|, so
+# the squared ratio is sum (1 + |k|^-2) |f_k|^2 / sum |f_k|^2 <= 2, equal on
+# |k| = 1.  Derivatives zero the Nyquist modes, so |k| >= 1 on every mode kept.
+BOGOVSKII_CONSTANT = float(np.sqrt(2.0))
 
 
 class SpectralError(ValueError):
@@ -217,23 +221,3 @@ def random_band_limited(
         f = f - np.mean(f)
     scale = float(np.max(np.abs(f)))
     return f / scale if scale > 0 else f
-
-
-def empirical_bogovskii_constant(
-    grid: Grid, n_fields: int = 50, seed: int = 0
-) -> float:
-    """Empirical sup of ||grad(phi)||_H1 / ||f||_L2 over probe fields.
-
-    Includes the lowest-wavenumber pure mode, which attains the sup
-    (sqrt(2) on the unit-wavenumber torus), alongside random band-limited
-    fields.
-    """
-    rng = np.random.default_rng(seed)
-    x = grid.coords()[0]
-    probes = [np.cos(x)]
-    probes += [random_band_limited(grid, rng) for _ in range(n_fields)]
-    best = 0.0
-    for f in probes:
-        ratio = grid.norms(grid.bogovskii(f)).h1 / grid.norms(f).l2
-        best = max(best, ratio)
-    return best

@@ -68,11 +68,17 @@ class MomentSet:
     q_hat: np.ndarray  # 0.5 * third central moment (energy flux)
 
 
-def deposit(ens: ParticleEnsemble, grid: Grid) -> MomentSet:
-    """Cloud-in-cell moments; mass and momentum deposit exactly."""
+def _cell(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    return kernels.cell_index(x, grid.dx, grid.n)
+
+
+def deposit(ens: ParticleEnsemble, grid: Grid, cell=None) -> MomentSet:
+    """Cloud-in-cell moments; mass and momentum deposit exactly.  ``cell``
+    is the cell index of ``ens.x``, when the caller already has it."""
     if grid.dim != 1:
         raise KineticError("particle solver is 1-D only")
-    s0, s1, s2, s3 = kernels.deposit_moments(ens.x, ens.xi, ens.w, grid.n, grid.dx)
+    cell = cell or _cell(ens.x, grid)
+    s0, s1, s2, s3 = kernels.deposit_moments(*cell, ens.xi, ens.w, grid.n, 4)
     rho = s0 / grid.dx
     m = s1 / grid.dx
     safe = np.where(s0 > 0.0, s0, 1.0)
@@ -85,16 +91,17 @@ def deposit(ens: ParticleEnsemble, grid: Grid) -> MomentSet:
     return MomentSet(rho, m, theta_rho, sigma_hat, q_hat)
 
 
-def push(ens: ParticleEnsemble, v_values: np.ndarray, dt: float, grid: Grid) -> ParticleEnsemble:
-    """Midpoint (RK2) update of the characteristics, v frozen in time."""
+def push(
+    ens: ParticleEnsemble, v_values: np.ndarray, dt: float, grid: Grid, cell=None
+) -> ParticleEnsemble:
+    """Midpoint (RK2) update of the characteristics, v frozen in time.
+    ``cell`` is the cell index of ``ens.x``, when the caller already has it."""
     if dt <= 0.0:
         raise KineticError("dt must be positive")
-    dx = grid.dx
-    v0 = kernels.gather(v_values, ens.x, dx)
-    x_mid = (ens.x + 0.5 * dt * ens.xi) % TWO_PI
-    xi_mid = ens.xi + 0.5 * dt * (v0 - ens.xi)
-    v_mid = kernels.gather(v_values, x_mid, dx)
-    x_new = (ens.x + dt * xi_mid) % TWO_PI
+    cell = cell or _cell(ens.x, grid)
+    xi_mid = ens.xi + 0.5 * dt * (kernels.gather(v_values, *cell) - ens.xi)
+    v_mid = kernels.gather(v_values, *_cell(kernels.wrap(ens.x + 0.5 * dt * ens.xi), grid))
+    x_new = kernels.wrap(ens.x + dt * xi_mid)
     xi_new = ens.xi + dt * (v_mid - xi_mid)
     return ParticleEnsemble(x_new, xi_new, ens.w)
 
@@ -194,6 +201,9 @@ def kinetic_run(
     status = Status.COMPLETED
     t_end = cfg.t_end
     eps = 1e-12 * max(1.0, t_end)
+    # each position set is indexed once (half's index serves the deposit and
+    # the second half-push), and an index is dropped after its last use
+    cell = _cell(ens.x, grid)
 
     while t < t_end - eps:
         v = j[0] / (1.0 + n)
@@ -202,15 +212,17 @@ def kinetic_run(
             speed = max(speed, float(np.max(np.abs(ens.xi))))
         dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
 
-        half = push(ens, v, 0.5 * dt, grid) if ens.size else ens
-        moments = deposit(half, grid)
+        half = push(ens, v, 0.5 * dt, grid, cell) if ens.size else ens
+        cell = _cell(half.x, grid)
+        # the drag reads mass and momentum only
+        rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
         def rates(y):
             n_s, j_s = y
             v_s = j_s / (1.0 + n_s)
             d_n, d_j = fluid_rates(grid, n_s, j_s, v_s, params)
             if params.drag_on:
-                d_j += grid.dealias(moments.m - moments.rho * v_s[0])[None]
+                d_j += grid.dealias(m_dep - rho_dep * v_s[0])[None]
             return d_n, d_j
 
         try:
@@ -224,11 +236,13 @@ def kinetic_run(
             status = err.status
             break
         n, j = n_new, j_new
-        ens = push(half, j[0] / (1.0 + n), 0.5 * dt, grid) if ens.size else half
+        ens = push(half, j[0] / (1.0 + n), 0.5 * dt, grid, cell) if ens.size else half
+        del half, cell
+        cell = _cell(ens.x, grid)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:
-            samples.append(KineticSample(t, deposit(ens, grid), n.copy(), j.copy()))
+            samples.append(KineticSample(t, deposit(ens, grid, cell), n.copy(), j.copy()))
 
     return KineticRunResult(ens, n, j, t, steps, samples, status)
 
@@ -271,7 +285,7 @@ def compare_once(
     kin = kinetic_run(ens, state0.n, state0.j, grid, params, cfg)
     if kin.status != Status.COMPLETED:
         raise KineticError(f"particle run stopped: {kin.status.value}")
-    moments = deposit(kin.ensemble, grid)
+    moments = kin.samples[-1].moments  # the last step always records
 
     h = hydro.final_state
     diff_rho = grid.norms(moments.rho - h.rho).l2

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from dragflow.grid import (
+    BOGOVSKII_CONSTANT,
     Grid,
     MeanNotZero,
     SpectralError,
-    empirical_bogovskii_constant,
     random_band_limited,
 )
 
@@ -233,8 +233,16 @@ def test_bogovskii_divergence_roundtrip():
 
 
 def test_empirical_bogovskii_constant_is_sqrt2():
-    # the sup over probe fields is attained at the lowest wavenumber
-    g = Grid(1, 64)
-    assert empirical_bogovskii_constant(g, n_fields=10) == pytest.approx(
-        np.sqrt(2.0), rel=1e-12
-    )
+    # ||bogovskii(f)||_H1 / ||f||_L2 <= sqrt(2) on random band-limited
+    # probes, and the lowest wavenumber cos x attains it, in every dimension
+    assert BOGOVSKII_CONSTANT == np.sqrt(2.0)
+    rng = np.random.default_rng(31)
+    for dim, n in ((1, 64), (2, 32), (3, 16)):
+        g = Grid(dim, n)
+
+        def ratio(f):
+            return g.norms(g.bogovskii(f)).h1 / g.norms(f).l2
+
+        for _ in range(8):
+            assert ratio(random_band_limited(g, rng)) <= BOGOVSKII_CONSTANT * (1.0 + 1e-12)
+        assert ratio(np.cos(g.coords()[0])) == pytest.approx(BOGOVSKII_CONSTANT, rel=1e-14)

@@ -40,14 +40,85 @@ def test_kernel_paths_agree():
     x = rng.uniform(0.0, TWO_PI, 5000)
     xi = rng.standard_normal(5000)
     w = rng.uniform(0.5, 1.5, 5000)
-    numpy_out = kernels.deposit_moments_numpy(x, xi, w, n_cells, dx)
-    selected = kernels.deposit_moments(x, xi, w, n_cells, dx)
-    for a, b in zip(numpy_out, selected):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    i0, frac = kernels.cell_index(x, dx, n_cells)
+    for count in (2, 4):
+        numpy_out = kernels.deposit_moments_numpy(i0, frac, xi, w, n_cells, count)
+        selected = kernels.deposit_moments(i0, frac, xi, w, n_cells, count)
+        assert numpy_out.shape == selected.shape == (count, n_cells)
+        for a, b in zip(numpy_out, selected):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
     vals = rng.standard_normal(n_cells)
     assert np.allclose(
-        kernels.gather_numpy(vals, x, dx), kernels.gather(vals, x, dx), rtol=1e-13
+        kernels.gather_numpy(vals, i0, frac), kernels.gather(vals, i0, frac), rtol=1e-13
     )
+
+
+def test_wrap_is_remainder_bit_for_bit():
+    rng = np.random.default_rng(5)
+    k = np.arange(-50, 51, dtype=float)
+    below = np.nextafter(TWO_PI, 0.0)
+    a = np.concatenate(
+        [
+            rng.uniform(-1e3, 1e3, 20000),  # |a| up to 1e3, half of them negative
+            -rng.uniform(0.0, TWO_PI, 1000),
+            k * TWO_PI,  # exact multiples of 2 pi, negative ones included
+            [0.0, -0.0, below, -below, below - TWO_PI, 1e-300, -1e-300, -1e-17, 1e3, -1e3],
+        ]
+    )
+    got = kernels.wrap(a)
+    np.testing.assert_array_equal(got.view(np.int64), (a % TWO_PI).view(np.int64))
+    assert np.all((got >= 0.0) & (got <= TWO_PI))
+
+
+def test_cell_index_wraps_any_finite_position():
+    n_cells = 16
+    dx = TWO_PI / n_cells
+    below = np.nextafter(TWO_PI, 0.0)
+    x = np.array([0.0, 0.5 * dx, TWO_PI, below, -0.25 * dx, TWO_PI + 3.5 * dx, -40.0])
+    i0, frac = kernels.cell_index(x, dx, n_cells)
+    s = x / dx
+    np.testing.assert_array_equal(i0, np.floor(s).astype(np.int64) % n_cells)
+    np.testing.assert_array_equal(frac, s - np.floor(s))
+    with pytest.raises(ValueError, match="finite"):
+        kernels.cell_index(np.array([1.0, np.nan]), dx, n_cells)
+
+
+def test_two_moment_deposit_is_the_full_deposit_cut():
+    rng = np.random.default_rng(7)
+    n_cells, dx = 48, TWO_PI / 48
+    x = rng.uniform(0.0, TWO_PI, 3000)
+    xi = rng.standard_normal(3000)
+    w = rng.uniform(0.5, 1.5, 3000)
+    i0, frac = kernels.cell_index(x, dx, n_cells)
+    full = kernels.deposit_moments(i0, frac, xi, w, n_cells, 4)
+    two = kernels.deposit_moments(i0, frac, xi, w, n_cells, 2)
+    np.testing.assert_array_equal(two, full[:2])
+
+
+def test_gather_with_reused_index_equals_gather_from_positions():
+    # the half-pushed ensemble's index, taken for the deposit, serves the
+    # second half-push: the result is the push that indexes afresh
+    g = Grid(1, 64)
+    rng = np.random.default_rng(9)
+    ens = ParticleEnsemble(
+        rng.uniform(0.0, TWO_PI, 4000), rng.standard_normal(4000), np.ones(4000)
+    )
+    v = np.sin(g.coords()[0]) + 0.1 * rng.standard_normal(g.n)
+    cell = kernels.cell_index(ens.x, g.dx, g.n)
+    kept = [a.copy() for a in cell]
+    deposit(ens, g, cell)
+    reused = push(ens, v, 0.01, g, cell)
+    for a, b in zip(cell, kept):
+        np.testing.assert_array_equal(a, b)
+    fresh = push(ens, v, 0.01, g)
+    np.testing.assert_array_equal(reused.x, fresh.x)
+    np.testing.assert_array_equal(reused.xi, fresh.xi)
+    # and the index-based gather is the linear interpolation of the positions
+    s = ens.x / g.dx
+    left = np.floor(s).astype(np.int64) % g.n
+    frac = s - np.floor(s)
+    expected = v[left] * (1.0 - frac) + v[(left + 1) % g.n] * frac
+    np.testing.assert_array_equal(kernels.gather(v, *cell), expected)
 
 
 def test_numba_selected_by_default_and_disabled_by_env():
