@@ -271,10 +271,7 @@ def cmd_decay_study(args) -> int:
             amplitudes={k: amp for k in ("rho", "u", "n", "v")},
         )
         try:
-            grid = Grid(cfg.grid.dim, cfg.grid.points_per_axis)
-            rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
-            state = generate_initial(spec, grid, rng)
-            recorder = Recorder(grid, cfg.params, sigma=cfg.sigma_override)
+            _, state, recorder = _build(replace(cfg, initial_data=spec), args.seed)
             result = run(state, cfg.params, cfg.time, recorder)
             if result.status != Status.COMPLETED:
                 row["status"] = result.status.value
@@ -370,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=None, help="directory for output files")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--emit-plot-data",
-            action="store_true",
-            help="also write (t, log L, log E_sigma) columns next to the records",
-        )
 
     p_run = sub.add_parser("run", help="run a single simulation and write records")
     common(p_run)
+    p_run.add_argument(
+        "--emit-plot-data",
+        action="store_true",
+        help="also write (t, log L, log E_sigma) columns next to the records",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="run and evaluate the invariant suites")

@@ -236,7 +236,8 @@ def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
     n1_max = float(np.max(1.0 + n))
     if float(np.min(1.0 + n)) <= 0.0:
         raise NonPositiveDensity("sound speed undefined: min(1+n) <= 0")
-    return float(np.sqrt(params.gamma * n1_max ** (params.gamma - 1.0)))
+    with np.errstate(over="ignore"):  # an overflow reads inf and stops the run
+        return float(np.sqrt(params.gamma * np.power(n1_max, params.gamma - 1.0)))
 
 
 def max_speed(state: State, params: FluidParams, floor: float = VACUUM_FLOOR) -> float:

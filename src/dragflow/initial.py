@@ -26,9 +26,13 @@ class InitSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InadmissibleInit(f"unknown init kind {self.kind!r}")
+            raise InadmissibleInit(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if not self.base_rho > 0.0:
             raise InadmissibleInit("base_rho must be positive")
+        if self.modes < 1:
+            raise InadmissibleInit("modes must be >= 1")
+        if self.kind == "from_snapshot" and self.snapshot is None:
+            raise InadmissibleInit("snapshot is required when kind is from_snapshot")
 
     def amp(self, name: str) -> float:
         return float(self.amplitudes.get(name, 0.0))
@@ -50,8 +54,6 @@ def generate_initial(
     if spec.kind == "from_snapshot":
         from .recordio import load_state
 
-        if spec.snapshot is None:
-            raise InadmissibleInit("from_snapshot requires a snapshot path")
         state = load_state(spec.snapshot, grid)
         state.validate()
         return state

@@ -206,26 +206,26 @@ def kinetic_run(
     cell = _cell(ens.x, grid)
 
     while t < t_end - eps:
-        v = j[0] / (1.0 + n)
-        speed = float(np.max(np.abs(v))) + sound_speed_max(n, params)
-        if ens.size:
-            speed = max(speed, float(np.max(np.abs(ens.xi))))
-        dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
-
-        half = push(ens, v, 0.5 * dt, grid, cell) if ens.size else ens
-        cell = _cell(half.x, grid)
-        # the drag reads mass and momentum only
-        rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
-
-        def rates(y):
-            n_s, j_s = y
-            v_s = j_s / (1.0 + n_s)
-            d_n, d_j = fluid_rates(grid, n_s, j_s, v_s, params)
-            if params.drag_on:
-                d_j += grid.dealias(m_dep - rho_dep * v_s[0])[None]
-            return d_n, d_j
-
         try:
+            v = j[0] / (1.0 + n)
+            speed = float(np.max(np.abs(v))) + sound_speed_max(n, params)
+            if ens.size:
+                speed = max(speed, float(np.max(np.abs(ens.xi))))
+            dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
+
+            half = push(ens, v, 0.5 * dt, grid, cell) if ens.size else ens
+            cell = _cell(half.x, grid)
+            # the drag reads mass and momentum only
+            rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
+
+            def rates(y):
+                n_s, j_s = y
+                v_s = j_s / (1.0 + n_s)
+                d_n, d_j = fluid_rates(grid, n_s, j_s, v_s, params)
+                if params.drag_on:
+                    d_j += grid.dealias(m_dep - rho_dep * v_s[0])[None]
+                return d_n, d_j
+
             n_new, j_new = _rk_advance((n, j), rates, dt, cfg.scheme)
             n_new -= np.mean(n_new)
             if not (np.all(np.isfinite(n_new)) and np.all(np.isfinite(j_new))):

@@ -43,8 +43,8 @@ class BlowupError(IntegrationError):
     status = Status.BLOWUP
 
 
-class DegenerateState(RuntimeError):
-    """CFL input (max signal speed) is not finite."""
+class DegenerateState(IntegrationError):
+    """No dt can be computed: the max signal speed is not finite."""
 
 
 @dataclass
@@ -226,17 +226,13 @@ def run(
     t_end = cfg.t_end
     eps = 1e-12 * max(1.0, t_end)
     while t < t_end - eps:
-        dt = min(compute_dt(state, params, cfg, floor), t_end - t)
         try:
+            dt = min(compute_dt(state, params, cfg, floor), t_end - t)
             new_state, info = step(state, params, dt, cfg.scheme, floor)
         except IntegrationError as err:
+            # a pending record is the current (t, state): record it with the stop flag
             status = err.status
-            if pending is not None:
-                pt, ps, _ = pending
-                records.append(recorder.record(pt, ps, flags=("stop:" + status.value,)))
-                pending = None
-            else:
-                records.append(recorder.record(t, state, flags=("stop:" + status.value,)))
+            records.append(recorder.record(t, state, flags=("stop:" + status.value,)))
             return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
 
         floor_ever = floor_ever or info.floor_active
@@ -257,10 +253,6 @@ def run(
         grad_now = grad_velocity_max(state, floor)
         if grad_now > ceiling:
             status = Status.GRADIENT_STEEPENING
-            if pending is not None:
-                pt, ps, _ = pending
-                records.append(recorder.record(pt, ps))
-                pending = None
             records.append(
                 recorder.record(t, state, flags=("stop:" + status.value,))
             )

@@ -1,6 +1,8 @@
 """End-to-end CLI checks on small configurations."""
 import json
 
+import pytest
+
 from dragflow.cli import main
 from dragflow.recordio import read_records
 
@@ -56,6 +58,15 @@ def test_run_malformed_amplitude_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "initial_data.amplitudes.rho" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, params={"gamma": 1e6})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+    assert "status=blowup" in capsys.readouterr().out
+    assert "stop:blowup" in read_records(tmp_path / "records.csv")[-1]["flags"]
 
 
 def test_run_deterministic_bytes(tmp_path):

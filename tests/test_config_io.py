@@ -1,16 +1,30 @@
 """Config parsing/round-trip and record/snapshot serialization."""
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dragflow import recordio
-from dragflow.config import ConfigError, load_config, parse_config, save_config, to_dict
+from dragflow.cli import main
+from dragflow.config import (
+    ConfigError,
+    GridConfig,
+    KineticConfig,
+    OutputConfig,
+    RunConfig,
+    load_config,
+    parse_config,
+    save_config,
+    to_dict,
+)
 from dragflow.dynamics import FluidParams
 from dragflow.grid import Grid
-from dragflow.initial import InitSpec, generate_initial
+from dragflow.initial import KINDS, InitSpec, generate_initial
 from dragflow.stepping import TimeConfig, run
 
 MINIMAL = {
@@ -90,6 +104,212 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(bad)
+
+
+# (section, key, value) that the config once let through or crashed on
+MALFORMED = [
+    ("params", "drag_on", "false"),
+    ("grid", "points_per_axis", "abc"),
+    (None, "seed", "a"),
+    ("outputs", "snapshot_every", "x"),
+    ("kinetic", "particles", 0),
+    ("grid", "dim", 1.7),
+    ("time", "record_every", True),
+    ("params", "gamma", math.inf),
+    ("initial_data", "modes", 0),
+    ("time", "cfl", 0.4),
+]
+
+
+def with_value(doc, section, key, value):
+    doc = json.loads(json.dumps(doc))
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("section, key, value", MALFORMED)
+def test_malformed_value_raises_config_error_naming_key(tmp_path, section, key, value):
+    doc = with_value(MINIMAL, section, key, value)
+    dotted = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=re.escape(dotted)):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_missing_keys_take_the_dataclass_defaults():
+    doc = json.loads(json.dumps(MINIMAL))
+    del doc["grid"]["dim"]
+    cfg = parse_config(doc)
+    assert cfg.grid == GridConfig(points_per_axis=32)
+    assert cfg.outputs == OutputConfig() and cfg.kinetic == KineticConfig()
+    assert (cfg.sigma_override, cfg.seed) == (None, 0)
+    for section, key in [("grid", "points_per_axis"), ("time", "t_end"), ("initial_data", "kind")]:
+        doc = json.loads(json.dumps(MINIMAL))
+        del doc[section][key]
+        with pytest.raises(ConfigError, match=f"missing required key {section}.{key}"):
+            parse_config(doc)
+
+
+def test_from_snapshot_without_snapshot_names_key():
+    with pytest.raises(ConfigError, match="initial_data.snapshot"):
+        parse_config(with_value(MINIMAL, "initial_data", "kind", "from_snapshot"))
+
+
+def test_float_fields_read_integers_as_floats():
+    cfg = parse_config(with_value(MINIMAL, "params", "gamma", 3))
+    assert type(cfg.params.gamma) is float and cfg.params.gamma == 3.0
+
+
+# -- property tests ---------------------------------------------------------
+
+def finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+OBJECT = st.dictionaries(st.text(max_size=2), finite(), max_size=1)
+# values of the wrong JSON type for a field of each annotated type
+NOT_A = {
+    "float": st.one_of(
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(finite(), max_size=2),
+        OBJECT,
+        st.sampled_from([math.inf, -math.inf, math.nan, 10**400]),
+    ),
+    "int": st.one_of(
+        st.booleans(), st.floats(), st.text(max_size=4), st.lists(st.integers(), max_size=2), OBJECT
+    ),
+    "bool": st.one_of(st.integers(), st.floats(), st.sampled_from(["true", "false"]), OBJECT),
+    "str": st.one_of(
+        st.booleans(), st.integers(), finite(), st.lists(st.text(max_size=2), max_size=2), OBJECT
+    ),
+    "fields": st.one_of(
+        st.lists(finite(), max_size=2),
+        st.text(max_size=4),
+        st.fixed_dictionaries({"rho": st.text(max_size=4)}),
+        st.fixed_dictionaries({"w": finite()}),
+    ),
+}
+NEGATIVE = finite(max_value=0.0, exclude_max=True)
+NONPOSITIVE = finite(max_value=0.0)
+NOT_A_CFL = NONPOSITIVE | finite(min_value=1.0, exclude_min=True)
+# every key of the document: (section, key, type, nullable, out-of-range values or None)
+KEYS = [
+    ("grid", "dim", "int", False, st.integers().filter(lambda d: d not in (1, 2, 3))),
+    ("grid", "points_per_axis", "int", False,
+     st.integers(max_value=7) | st.integers(min_value=4).map(lambda k: 2 * k + 1)),
+    ("params", "gamma", "float", False, finite(max_value=1.0)),
+    ("params", "mu", "float", False, NONPOSITIVE),
+    ("params", "lam", "float", False, finite(max_value=-2.0)),  # MINIMAL has mu = 1
+    ("params", "drag_on", "bool", False, None),
+    ("time", "t_end", "float", False, NEGATIVE),
+    ("time", "cfl_advective", "float", False, NOT_A_CFL),
+    ("time", "cfl_diffusive", "float", False, NOT_A_CFL),
+    ("time", "dt_max", "float", False, NONPOSITIVE),
+    ("time", "scheme", "str", False,
+     st.text(max_size=8).filter(lambda s: s.lower() not in ("rk4", "ssp_rk3"))),
+    ("time", "record_every", "int", False, st.integers(max_value=0)),
+    ("initial_data", "kind", "str", False, st.text(max_size=8).filter(lambda s: s not in KINDS)),
+    ("initial_data", "amplitudes", "fields", False, None),
+    ("initial_data", "phases", "fields", False, None),
+    ("initial_data", "base_rho", "float", False, NONPOSITIVE),
+    ("initial_data", "modes", "int", False, st.integers(max_value=0)),
+    ("initial_data", "snapshot", "str", True, None),
+    ("outputs", "records_path", "str", False, None),
+    ("outputs", "snapshots_path", "str", True, None),
+    ("outputs", "snapshot_every", "int", True, st.integers(max_value=0)),
+    ("kinetic", "particles", "int", False, st.integers(max_value=0)),
+    ("kinetic", "compare_time", "float", False, NONPOSITIVE),
+    (None, "sigma_override", "float", True, NEGATIVE),
+    (None, "seed", "int", False, st.integers(max_value=-1)),
+]
+
+
+def test_key_table_covers_every_config_key():
+    doc = to_dict(parse_config(MINIMAL))
+    keys = {(s, k) for s, sec in doc.items() if isinstance(sec, dict) for k in sec}
+    keys |= {(None, k) for k, v in doc.items() if k != "schema" and not isinstance(v, dict)}
+    assert {(s, k) for s, k, *_ in KEYS} == keys
+
+
+@st.composite
+def bad_documents(draw):
+    section, key, kind, nullable, out_of_range = draw(st.sampled_from(KEYS))
+    bad = NOT_A[kind] if nullable else NOT_A[kind] | st.none()
+    if out_of_range is not None:
+        bad = bad | out_of_range
+    dotted = f"{section}.{key}" if section else key
+    return with_value(to_dict(parse_config(MINIMAL)), section, key, draw(bad)), dotted
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bad_documents())
+def test_any_bad_value_raises_config_error_naming_its_key(case):
+    doc, dotted = case
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert dotted in str(err.value)
+
+
+FIELD_VALUES = st.dictionaries(
+    st.sampled_from(["rho", "u", "n", "v"]), finite() | st.integers(-5, 5)
+)
+VALID_CONFIGS = st.builds(
+    RunConfig,
+    grid=st.builds(
+        GridConfig,
+        dim=st.sampled_from([1, 2, 3]),
+        points_per_axis=st.integers(4, 512).map(lambda k: 2 * k),
+    ),
+    params=st.builds(
+        FluidParams,
+        gamma=finite(min_value=1.0, exclude_min=True),
+        mu=finite(min_value=1e-3, max_value=1e3),
+        lam=finite(min_value=-1.9e-3, max_value=1e3),
+        drag_on=st.booleans(),
+    ),
+    time=st.builds(
+        TimeConfig,
+        t_end=finite(min_value=0.0),
+        cfl_advective=finite(min_value=1e-6, max_value=1.0),
+        cfl_diffusive=finite(min_value=1e-6, max_value=1.0),
+        dt_max=finite(min_value=1e-9),
+        scheme=st.sampled_from(["rk4", "ssp_rk3"]),
+        record_every=st.integers(1, 10**9),
+    ),
+    initial_data=st.builds(
+        InitSpec,
+        kind=st.sampled_from(KINDS),
+        amplitudes=FIELD_VALUES,
+        phases=FIELD_VALUES,
+        base_rho=finite(min_value=1e-6, max_value=1e6),
+        modes=st.integers(1, 64),
+        snapshot=st.text(max_size=8),  # kind from_snapshot needs one
+    ),
+    outputs=st.builds(
+        OutputConfig,
+        records_path=st.text(max_size=8),
+        snapshots_path=st.none() | st.text(max_size=8),
+        snapshot_every=st.none() | st.integers(1, 10**6),
+    ),
+    kinetic=st.builds(
+        KineticConfig,
+        particles=st.integers(1, 10**7),
+        compare_time=finite(min_value=1e-6, max_value=1e3),
+    ),
+    sigma_override=st.none() | finite(min_value=0.0),
+    seed=st.integers(0, 2**63),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(VALID_CONFIGS)
+def test_config_round_trips_through_json(cfg):
+    assert parse_config(to_dict(cfg)) == cfg
+    assert parse_config(json.loads(json.dumps(to_dict(cfg)))) == cfg
 
 
 def small_run():

@@ -339,6 +339,17 @@ def test_kinetic_run_returns_stop_status():
     np.testing.assert_array_equal(kin.samples[-1].n, kin.n)
 
 
+def test_kinetic_run_uncomputable_dt_stops_with_blowup_status():
+    # the sound speed overflows a double at gamma = 1e6, so no dt exists
+    g = Grid(1, 32)
+    state0 = generate_initial(InitSpec(kind="single_mode", amplitudes={"n": 0.05}), g)
+    ens = monokinetic_ensemble(g, state0.rho, state0.m[0] / state0.rho, 1000)
+    params = FluidParams(gamma=1e6, mu=1.0)
+    kin = kinetic_run(ens, state0.n, state0.j, g, params, TimeConfig(t_end=0.5))
+    assert kin.status == Status.BLOWUP
+    assert kin.steps == 0 and len(kin.samples) == 1
+
+
 def test_compare_once_rejects_stopped_particle_run(monkeypatch):
     g = Grid(1, 32)
     spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.05, "u": 0.05, "n": 0.05, "v": 0.05})

@@ -193,6 +193,16 @@ def test_unstable_cfl_stops_with_breach_status():
     assert any(f.startswith("stop:") for f in res.records[-1].flags)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_uncomputable_dt_stops_with_blowup_status():
+    # (1+n)**(gamma-1) overflows a double at gamma = 1e6, so no dt exists
+    g = Grid(1, 32)
+    res = run(single_mode_state(g), FluidParams(gamma=1e6, mu=1.0), TimeConfig(t_end=0.5))
+    assert res.status == Status.BLOWUP
+    assert res.steps == 0
+    assert "stop:blowup" in res.records[-1].flags
+
+
 def test_gradient_steepening_guard():
     # without drag the dispersed phase steepens toward a shock and the
     # guard stops the run before the fields blow up
