@@ -660,10 +660,12 @@ class Recorder:
             self.e0 = f.E
 
         inter = _interacting(f)
+        e0_violated = False
         try:
             e0_int, _ = _energy_density(f)
         except HypothesisViolated:
             e0_int = math.nan
+            e0_violated = True
             flags = flags + ("e0_hypothesis",)
 
         tgt = self._target.reshape((-1,) + (1,) * self.grid.dim)
@@ -710,6 +712,13 @@ class Recorder:
             "equiv_lower_slack": funcs.E_sigma - c1 * funcs.L,
             "equiv_upper_slack": c2 * funcs.L - funcs.E_sigma,
         }
+        # the endpoint residuals and E0_integral under e0_hypothesis are nan
+        # by design; any other non-finite value is flagged
+        watched = vars(funcs) | checks | (residuals if window is not None else {})
+        if e0_violated:
+            del watched["E0_integral"]
+        if not all(math.isfinite(v) for v in watched.values()):
+            flags = flags + ("nonfinite",)
         return DiagnosticsRecord(
             t=t,
             averages=f.av,

@@ -25,6 +25,7 @@ from .stepping import (
     IntegrationError,
     Status,
     TimeConfig,
+    _pin_malloc_thresholds,
     _rk_advance,
     cfl_dt,
 )
@@ -191,6 +192,7 @@ def kinetic_run(
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
+    _pin_malloc_thresholds()
     n = n0 - np.mean(n0)
     j = j0.copy() if j0.ndim == 2 else j0[None].copy()  # vector layout (1, n)
     t = 0.0

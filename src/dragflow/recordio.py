@@ -1,7 +1,11 @@
 """Serialization: records CSV and flat binary field snapshots.
 
 Records CSV: comment header documenting every column, then one row per
-record with floats written as shortest round-trip decimals.  Snapshot
+record with floats written as shortest round-trip decimals.  The flags
+column joins these tokens: ``endpoint`` (no neighbours, so the residuals
+are nan), ``e0_hypothesis`` (max|n| > 1/2, so E0_integral is nan),
+``nonfinite`` (some other functional, check or residual is inf or nan) and
+``stop:<status>`` (the run stopped early at this record).  Snapshot
 files: one flat little-endian float64 array per field per time behind a
 32-byte header (magic ``DAF1``, dim, points per axis, time), plus a JSON
 index describing the files.

@@ -1,5 +1,7 @@
 """End-to-end CLI checks on small configurations."""
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,23 @@ def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
     assert code == 3
     assert "status=blowup" in capsys.readouterr().out
     assert "stop:blowup" in read_records(tmp_path / "records.csv")[-1]["flags"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reference_run_with_overflowing_pressure_writes_one_flagged_row(tmp_path):
+    # at gamma = 1e6 the pressure overflows: E, E_script and E_sigma are inf
+    # and D_sigma nan at t=0, and the first step cannot compute a dt
+    reference = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+    doc = json.loads(reference.read_text())
+    doc["params"]["gamma"] = 1e6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    rows = read_records(tmp_path / "records.csv")
+    assert len(rows) == 1
+    assert rows[0]["t"] == 0.0
+    assert rows[0]["flags"] == "stop:blowup;endpoint;nonfinite"
+    assert math.isinf(rows[0]["E"]) and math.isnan(rows[0]["D_sigma"])
 
 
 def test_run_deterministic_bytes(tmp_path):

@@ -631,3 +631,26 @@ def test_windowed_record_matches_public_functionals(dim, points):
     assert got.averages.rho_c == pytest.approx(av.rho_c, rel=1e-14, abs=0.0)
     np.testing.assert_allclose(got.averages.m_c, av.m_c, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(got.averages.j_c, av.j_c, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_record_flags_nonfinite_values_only():
+    g = Grid(1, 32)
+    x = g.coords()[0]
+    rng = np.random.default_rng(5)
+    state = random_small_state(g, rng)
+    # the endpoint residuals are nan by design
+    rec = fn.Recorder(g, PARAMS, cstar=CSTAR)
+    assert rec.record(0.0, state).flags == ("endpoint",)
+    window = ((0.01, random_small_state(g, rng)), (0.01, random_small_state(g, rng)))
+    assert rec.record(0.1, state, window=window).flags == ()
+    # so is E0_integral when max|n| > 1/2
+    n = 0.6 * np.cos(x)
+    wide = make_state(g, np.ones(g.shape), g.zeros_vector(), n - np.mean(n), g.zeros_vector())
+    got = fn.Recorder(g, PARAMS, cstar=CSTAR).record(0.0, wide)
+    assert math.isnan(got.functionals.E0_integral)
+    assert got.flags == ("e0_hypothesis", "endpoint")
+    # the pressure overflows at gamma = 1e6
+    got = fn.Recorder(g, FluidParams(gamma=1e6, mu=1.0), cstar=CSTAR).record(0.0, state)
+    assert math.isinf(got.functionals.E)
+    assert got.flags == ("endpoint", "nonfinite")

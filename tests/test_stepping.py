@@ -1,6 +1,12 @@
 """Time stepping: CFL formula, scheme order, exact drag-relaxation oracle,
 statuses, and conservation over runs."""
+import ctypes
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +206,9 @@ def test_uncomputable_dt_stops_with_blowup_status():
     res = run(single_mode_state(g), FluidParams(gamma=1e6, mu=1.0), TimeConfig(t_end=0.5))
     assert res.status == Status.BLOWUP
     assert res.steps == 0
-    assert "stop:blowup" in res.records[-1].flags
+    # the stop record replaces the t=0 record
+    assert len(res.records) == 1
+    assert res.records[0].flags == ("stop:blowup", "endpoint", "nonfinite")
 
 
 def test_gradient_steepening_guard():
@@ -244,3 +252,64 @@ def test_records_strictly_increasing_and_residuals_present():
         assert math.isfinite(rec.residuals["energy_balance"])
     assert math.isnan(res.records[0].residuals["energy_balance"])
     assert math.isnan(res.records[-1].residuals["energy_balance"])
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# a warm-up run, then a measured run, of one solver in a fresh process:
+# the grid solver (2-D 64^2, a record every step) or the particle solver
+# (100k particles)
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import resource, sys
+    import numpy as np
+    from dragflow.dynamics import FluidParams
+    from dragflow.grid import Grid
+    from dragflow.initial import InitSpec, generate_initial
+    from dragflow.kinetic import kinetic_run, monokinetic_ensemble
+    from dragflow.stepping import TimeConfig, run
+
+    params = FluidParams(gamma=2.0, mu=1.0, lam=0.0)
+    if sys.argv[1] == "grid":
+        g = Grid(2, 64)
+        amps = {"rho": 0.05, "u": 0.05, "n": 0.05, "v": 0.05}
+        spec = InitSpec(kind="multi_mode", amplitudes=amps, modes=3)
+        state = generate_initial(spec, g, np.random.default_rng(0))
+        cfg = TimeConfig(t_end=0.02, dt_max=1e-3)
+        solve = lambda: run(state, params, cfg).steps
+    else:
+        g = Grid(1, 64)
+        x = g.coords()[0]
+        ens = monokinetic_ensemble(g, 1.0 + 0.05 * np.cos(x), 0.05 * np.sin(x), 100_000)
+        n0, j0 = 0.05 * np.cos(x), 0.05 * np.sin(x)
+        cfg = TimeConfig(t_end=5e-3)
+        solve = lambda: kinetic_run(ens, n0, j0, g, params, cfg).steps
+    solve()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps = solve()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+    """
+)
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+@pytest.mark.parametrize("solver", ["grid", "kinetic"])
+def test_solver_loops_do_not_refault_heap_pages(solver):
+    # with glibc's dynamic thresholds every rhs call and particle step gave
+    # back about a megabyte of heap and faulted it in again: about 1,300
+    # minor faults per 2-D 64^2 step and 1,400 per particle step
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, solver],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert float(out.stdout.splitlines()[-1]) < 50
