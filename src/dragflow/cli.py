@@ -65,13 +65,16 @@ class _SnapshottingRecorder:
         self.count = 0
         self.entries: list[dict] = []
 
-    def record(self, t, state, window=None, flags=()):
+    def evaluate(self, state, grad_u_max=None):
+        return self.inner.evaluate(state, grad_u_max)
+
+    def record(self, t, state, window=None, flags=(), evaluation=None):
         if self.count % self.every == 0:
             self.entries += recordio.write_state_snapshot(
                 self.directory, state, t, tag=f"{self.count:06d}"
             )
         self.count += 1
-        return self.inner.record(t, state, window=window, flags=flags)
+        return self.inner.record(t, state, window=window, flags=flags, evaluation=evaluation)
 
 
 def cmd_run(args) -> int:

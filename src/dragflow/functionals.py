@@ -24,9 +24,10 @@ from .dynamics import (
     FluidParams,
     NonPositiveDensity,
     State,
+    _fluid_stack,
+    _pairs,
     gradient_norm_max,
     pressure_deviation,
-    pressure_minus_one,
     primitive_velocity,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
@@ -54,11 +55,13 @@ class HypothesisViolated(DiagnosticsError):
 
 
 def _mean(f: np.ndarray) -> float:
-    return float(np.mean(f))
+    # np.mean's own arithmetic (a sum, then a division) without its wrapper,
+    # whose call overhead is most of the cost on 64-point fields
+    return float(f.sum()) / f.size
 
 
 def _mean_vec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(v.shape[0], -1).mean(axis=1)
+    return v.reshape(v.shape[0], -1).sum(axis=1) / v[0].size
 
 
 def _dot_sq(v: np.ndarray) -> np.ndarray:
@@ -88,21 +91,26 @@ def averages(state: State) -> Averages:
 
 
 class _Fields:
-    """Derived fields of one state, each built once and shared by every functional.
+    """Derived fields and scalars of one state, built once and shared by every functional.
 
-    The energy part (u, v, the averages, du, dv, 1+n, the pressure
-    deviation and, for sigma > 0, ``lift = bogovskii(n)``) gives the energy
-    scalars; a neighbour of a residual window contributes only those, as
-    ``energies``.  The centre of a record also needs grad v, div v, u - v
-    and the plain dissipation terms I1-I3 (``gradients=True``).
+    Pointwise products stay in physical space: the energies, the
+    fluctuation terms, I3, j_c', E0 and the alignment distances.  The
+    terms that pair derivatives, the Bogovskii lift ``grad(phi)`` with
+    ``laplacian(phi) = n`` or dealiased products (I1, I2, I4-I10, the
+    E_sigma cross term) are Parseval sums over the half spectrum, read from
+    one forward transform call; no inverse transform is made.  ``energies``
+    is what the state contributes to the centred differences of a residual
+    window, and ``sinks`` what the centre contributes, both in RESIDUALS
+    order.
     """
 
     def __init__(self, state: State, params: FluidParams, sigma: float = 0.0,
-                 gradients: bool = True, floor: float = VACUUM_FLOOR):
+                 floor: float = VACUUM_FLOOR):
         if sigma < 0.0:
             raise DiagnosticsError("sigma must be nonnegative")
         g = state.grid
-        self.state, self.params, self.sigma = state, params, sigma
+        d = g.dim
+        self.state, self.params = state, params
         self.n1 = 1.0 + state.n
         self.min_n1 = float(np.min(self.n1))
         if self.min_n1 <= 0.0:
@@ -110,14 +118,26 @@ class _Fields:
         self.av = av = averages(state)
         self.u, _ = primitive_velocity(state.rho, state.m, floor)
         self.v, _ = primitive_velocity(self.n1, state.j, floor)
-        bshape = (-1,) + (1,) * g.dim
-        self.du = self.u - av.m_c.reshape(bshape)
-        self.dv = self.v - av.j_c.reshape(bshape)
-        self.pdev = pressure_deviation(state.n, params.gamma)
-        self.lift = g.bogovskii(state.n) if sigma > 0.0 else None
+        bshape = (-1,) + (1,) * d
+        du = self.u - av.m_c.reshape(bshape)
+        dv = self.v - av.j_c.reshape(bshape)
+        diff = self.u - self.v
 
-        self.fluct_p = _mean(state.rho * _dot_sq(self.du))
-        self.fluct_f = _mean(self.n1 * _dot_sq(self.dv))
+        # physical stack: j, v, p - 1, the pairs j_a v_b, then n and rho (u - v)
+        pairs = _pairs(d)
+        phys = _fluid_stack(g, state.n, state.j, self.v, params.gamma, 1 + d)
+        at = 2 * d + 1 + len(pairs)
+        phys[at] = state.n
+        np.multiply(state.rho, diff, out=phys[at + 1 :])
+        self.pdev = phys[2 * d] - params.gamma * state.n
+        self.jc_prime = _mean_vec(phys[at + 1 :])
+        hat = g._fft(phys)
+        del phys
+        jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
+        flux_hat, nhat, drag_hat = hat[2 * d + 1 : at], hat[at], hat[at + 1 :]
+
+        self.fluct_p = _mean(state.rho * _dot_sq(du))
+        self.fluct_f = _mean(self.n1 * _dot_sq(dv))
         self.gap_sq = float(np.sum((av.m_c - av.j_c) ** 2))
         self.L_p = self.fluct_p + self.fluct_f + self.gap_sq
         self.L = self.L_p + _mean(state.n * state.n)
@@ -129,29 +149,53 @@ class _Fields:
         self.E_script = self.fluct_p + self.fluct_f + 2.0 * self.potential + (
             av.rho_c / (1.0 + av.rho_c) * self.gap_sq
         )
-        self.E_sigma = self.E_script
-        if self.lift is not None:
-            cross = _mean(self.n1 * np.sum(self.dv * self.lift, axis=0))
-            self.E_sigma = self.E_script - 2.0 * sigma * cross
-        # what the state contributes to the centred differences, in RESIDUALS order
+
+        # |grad v|^2 and (div v)^2: d_b pairs with d_b to k_b^2
+        div_v_hat = sum(g._ik[a] * vhat[a] for a in range(d))
+        self.i1 = params.mu * float(g.inner(vhat, g._k2 * vhat).sum())
+        self.i2 = (params.mu + params.lam) * float(g.inner(div_v_hat, div_v_hat))
+        self.i3 = _mean(state.rho * _dot_sq(diff))
+        self.D = self.i1 + self.i2 + self.i3
+
+        self.E_sigma, extra = self.E_script, (0.0,) * 7
+        if sigma > 0.0:
+            lift = g._lift(nhat)
+            # (1+n) dv = j - j_c (1+n); the lifts have no k = 0 mode to meet j_c
+            dv1 = jhat - av.j_c.reshape(bshape) * nhat
+            div_j = sum(g._ik[a] * jhat[a] for a in range(d))
+            # the Hessian of phi is d_b of the lift, symmetric like the flux
+            flux_hess = sum(
+                (1.0 if a == b else 2.0) * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
+                for k, (a, b) in enumerate(pairs)
+            )
+            self.E_sigma -= 2.0 * sigma * float(g.inner(dv1, lift).sum())
+            # I4-I10; grad v meets the Hessian as in I1, d_b with d_b to k_b^2
+            extra = (
+                sigma * float(flux_hess),
+                sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
+                -sigma * params.mu * float(g.inner(vhat, g._k2 * lift).sum()),
+                -sigma * (params.mu + params.lam) * float(g.inner(div_v_hat, nhat)),
+                sigma * float(g.inner(drag_hat, g._dealias_keep * lift).sum()),
+                -sigma * float(g.inner(dv1, g._lift(div_j)).sum()),
+                # mean((1+n) lift) = mean(n lift): the lift has mean zero
+                -sigma * (-float(np.dot(av.j_c, g.inner(div_j, lift)))
+                          + float(np.dot(self.jc_prime, g.inner(nhat, lift)))),
+            )
+        values = (self.i1, self.i2, self.i3) + extra
+        self.terms = {f"I{k}": val for k, val in enumerate(values, start=1)}
+        self.D_sigma = self.D
+        for val in extra:
+            self.D_sigma += val
+
         self.energies = (self.E_dev, self.E_sigma, self.fluct_p,
                          self.fluct_f + 2.0 * self.potential, self.gap_sq)
-        if not gradients:
-            return
-
-        self.grad_v = g.gradient(self.v)  # grad_v[a, b] = d_b v_a
-        # div v = sum of d_a v_a, the trace of grad v
-        self.div_v = self.grad_v[0, 0].copy()
-        gradsq = _mean(_dot_sq(self.grad_v[0]))
-        for a in range(1, g.dim):
-            self.div_v += self.grad_v[a, a]
-            gradsq += _mean(_dot_sq(self.grad_v[a]))
-        self.diff = self.u - self.v
-        self.i1 = params.mu * gradsq
-        self.i2 = (params.mu + params.lam) * _mean(self.div_v * self.div_v)
-        self.i3 = _mean(state.rho * _dot_sq(self.diff))
-        self.D = self.i1 + self.i2 + self.i3
-        self.jc_prime = _mean_vec(state.rho * self.diff)
+        self.sinks = (
+            self.D,
+            self.D_sigma,
+            _mean(state.rho * np.sum(du * diff, axis=0)),
+            (self.i1 + self.i2) - _mean(state.rho * np.sum(dv * diff, axis=0)),
+            (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, self.jc_prime)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +211,7 @@ def energy_deviation(state: State, params: FluidParams, floor: float = 1e-8) -> 
     fluctuations rather than on the O(1) equilibrium energy, which keeps
     the balance residual measurable at late times.
     """
-    return _Fields(state, params, gradients=False, floor=floor).E_dev
+    return _Fields(state, params, floor=floor).E_dev
 
 
 def total_energy(state: State, params: FluidParams) -> float:
@@ -178,7 +222,7 @@ def total_energy(state: State, params: FluidParams) -> float:
     exactly (d(E)/dt / 2 + D = 0), matches the interacting energy-variation
     term for term, and is monotone along solutions.
     """
-    return _Fields(state, params, gradients=False).E
+    return _Fields(state, params).E
 
 
 def dissipation(state: State, params: FluidParams) -> float:
@@ -188,7 +232,7 @@ def dissipation(state: State, params: FluidParams) -> float:
 
 def lyapunov(state: State, params: FluidParams) -> tuple[float, float]:
     """Momentum/mass fluctuation functional; returns (L, L_p)."""
-    f = _Fields(state, params, gradients=False)
+    f = _Fields(state, params)
     return f.L, f.L_p
 
 
@@ -255,40 +299,6 @@ class InteractingEnergy:
     terms: dict
 
 
-def _sigma_terms(f: _Fields) -> tuple[float, ...]:
-    """I4-I10, the dissipation terms of the sigma correction."""
-    s, p, sigma, lift = f.state, f.params, f.sigma, f.lift
-    g = s.grid
-    hess = g.gradient(lift)  # d_b d_a phi
-    flux = g.dealias(s.j[:, None] * f.v[None, :])
-    i4 = sigma * _mean(np.sum(flux * hess, axis=(0, 1)))
-    i5 = sigma * _mean(s.n * g.dealias(pressure_minus_one(s.n, p.gamma)))
-    # hess is symmetric, so this pairs d_b v_a with d_b d_a phi
-    i6 = -sigma * p.mu * _mean(np.sum(f.grad_v * hess, axis=(0, 1)))
-    i7 = -sigma * (p.mu + p.lam) * _mean(f.div_v * s.n)
-    drag = g.dealias(s.rho * f.diff)
-    i8 = sigma * _mean(np.sum(drag * lift, axis=0))
-    div_j = g.divergence(s.j)
-    lift_divj = g.bogovskii(div_j)
-    i9 = -sigma * _mean(f.n1 * np.sum(f.dv * lift_divj, axis=0))
-    jc_dot_lift = np.tensordot(f.av.j_c, lift, axes=(0, 0))
-    i10 = -sigma * (
-        -_mean(div_j * jc_dot_lift)
-        + float(np.dot(f.jc_prime, _mean_vec(f.n1 * lift)))
-    )
-    return i4, i5, i6, i7, i8, i9, i10
-
-
-def _interacting(f: _Fields) -> InteractingEnergy:
-    terms = {"I1": f.i1, "I2": f.i2, "I3": f.i3}
-    d_sigma = f.D
-    extra = _sigma_terms(f) if f.lift is not None else (0.0,) * 7
-    for k, val in zip(range(4, 11), extra):
-        terms[f"I{k}"] = val
-        d_sigma += val
-    return InteractingEnergy(f.E_script, f.E_sigma, d_sigma, f.sigma, terms)
-
-
 def interacting_energy(
     state: State, params: FluidParams, sigma: float
 ) -> InteractingEnergy:
@@ -302,7 +312,8 @@ def interacting_energy(
     ``terms`` for debuggability.  The pair satisfies
     d(E_sigma)/dt / 2 + D_sigma = 0 along solutions of the coupled system.
     """
-    return _interacting(_Fields(state, params, sigma))
+    f = _Fields(state, params, sigma)
+    return InteractingEnergy(f.E_script, f.E_sigma, f.D_sigma, sigma, f.terms)
 
 
 def _sigma_max(n_bar: float, bounds: tuple[float, float], cstar: float) -> float:
@@ -425,7 +436,7 @@ def energy_density_e0(
     Returns (mean of E0, (min, max) of E0/(n^2 + |v|^2) where the
     denominator exceeds 1e-14).  Requires the grid max of |n| <= 1/2.
     """
-    return _energy_density(_Fields(state, params, gradients=False))
+    return _energy_density(_Fields(state, params))
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +453,16 @@ def _nonuniform_derivative(f0: float, f1: float, f2: float, h0: float, h1: float
     )
 
 
-def _residuals(times, before, f: _Fields, after, inter: InteractingEnergy) -> dict:
-    """Residuals at the centre ``f``; ``before``/``after`` are the neighbours' energies."""
+def _residuals(times, before: tuple, centre, after: tuple) -> dict:
+    """Residuals at ``centre``, from its ``energies`` and ``sinks``;
+    ``before``/``after`` are the neighbours' energies."""
     h0, h1 = times[1] - times[0], times[2] - times[1]
     if h0 <= 0 or h1 <= 0:
         raise DiagnosticsError("samples must be strictly increasing in time")
-    rate = [0.5 * _nonuniform_derivative(*e, h0, h1) for e in zip(before, f.energies, after)]
-    s, av = f.state, f.av
+    samples = zip(before, centre.energies, after)
     return {
-        "energy_balance": rate[0] + f.D,
-        "esigma_balance": rate[1] + inter.D_sigma,
-        "fluct_particle": rate[2] + _mean(s.rho * np.sum(f.du * f.diff, axis=0)),
-        "fluct_fluid": rate[3] + (f.i1 + f.i2) - _mean(s.rho * np.sum(f.dv * f.diff, axis=0)),
-        "momentum_gap": rate[4]
-        + (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, f.jc_prime)),
+        name: 0.5 * _nonuniform_derivative(*e, h0, h1) + sink
+        for name, e, sink in zip(RESIDUALS, samples, centre.sinks)
     }
 
 
@@ -475,10 +482,9 @@ def identity_residuals(
     only their energy scalars.
     """
     (t0, s0), (t1, s1), (t2, s2) = before, center, after
-    f = _Fields(s1, params, sigma)
-    e_before = _Fields(s0, params, sigma, gradients=False).energies
-    e_after = _Fields(s2, params, sigma, gradients=False).energies
-    return _residuals((t0, t1, t2), e_before, f, e_after, _interacting(f))
+    e_before = _Fields(s0, params, sigma).energies
+    e_after = _Fields(s2, params, sigma).energies
+    return _residuals((t0, t1, t2), e_before, _Fields(s1, params, sigma), e_after)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +617,32 @@ class DiagnosticsRecord:
     flags: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """What the records take from one state: scalars and dim-vectors, no fields.
+
+    ``energies`` is the state's share of the centred differences of a
+    residual window, ``sinks`` the centre's share, both in RESIDUALS order.
+    """
+
+    averages: Averages
+    functionals: Functionals
+    mass_n: float
+    mom_total: np.ndarray
+    checks: dict
+    energies: tuple[float, ...]
+    sinks: tuple[float, ...]
+    flags: tuple[str, ...]
+
+
 class Recorder:
     """Evaluates the full diagnostics bundle for one run.
 
-    sigma is resolved once from the first recorded state (or the override)
+    sigma is resolved once from the first evaluated state (or the override)
     and kept fixed so the corrected-energy series obeys one identity; the
-    alignment target and the initial energy are captured at the first
-    record.
+    alignment target and the initial energy are captured at the same state.
+    A caller that keeps each state's ``evaluate`` result evaluates every
+    state once, however many records it serves.
     """
 
     def __init__(
@@ -636,67 +661,45 @@ class Recorder:
         self.e0: float | None = None
         self._target: np.ndarray | None = None
 
-    def record(
-        self,
-        t: float,
-        state: State,
-        window=None,
-        flags: tuple[str, ...] = (),
-    ) -> DiagnosticsRecord:
+    def evaluate(self, state: State, grad_u_max: float | None = None) -> Evaluation:
+        """Every scalar a record takes from ``state``.  ``grad_u_max`` is the
+        state's ``grad_velocity_max`` when the caller has it already."""
         params = self.params
         n_bar = float(np.max(1.0 + state.n))
         bounds = _bounds_above(n_bar, params.gamma)
         if self.sigma is None:
-            self.sigma = (
-                self._sigma_override
-                if self._sigma_override is not None
-                else _sigma_default(n_bar, bounds, self.cstar)
-            )
+            self.sigma = self._sigma_override
+            if self.sigma is None:
+                self.sigma = _sigma_default(n_bar, bounds, self.cstar)
         f = _Fields(state, params, self.sigma)
         if self.averages0 is None:
-            self.averages0 = f.av
-            self._target = alignment_target(f.av)
-        if self.e0 is None:
-            self.e0 = f.E
+            self.averages0, self._target, self.e0 = f.av, alignment_target(f.av), f.E
 
-        inter = _interacting(f)
-        e0_violated = False
+        flags = ()
         try:
             e0_int, _ = _energy_density(f)
         except HypothesisViolated:
             e0_int = math.nan
-            e0_violated = True
-            flags = flags + ("e0_hypothesis",)
-
+            flags = ("e0_hypothesis",)
+        if grad_u_max is None:
+            grad_u_max = gradient_norm_max(self.grid, f.u)
         tgt = self._target.reshape((-1,) + (1,) * self.grid.dim)
-        u_dist = float(np.max(np.sqrt(_dot_sq(f.u - tgt))))
-        v_dist = float(np.max(np.sqrt(_dot_sq(f.v - tgt))))
-
-        if window is None:
-            residuals = dict.fromkeys(RESIDUALS, math.nan)
-            flags = flags + ("endpoint",)
-        else:
-            (h0, s_prev), (h1, s_next) = window
-            e_before = _Fields(s_prev, params, self.sigma, gradients=False).energies
-            e_after = _Fields(s_next, params, self.sigma, gradients=False).energies
-            residuals = _residuals((t - h0, t, t + h1), e_before, f, e_after, inter)
-
         funcs = Functionals(
             E=f.E,
             D=f.D,
             L=f.L,
             L_p=f.L_p,
-            E_script=inter.E_script,
-            E_sigma=inter.E_sigma,
-            D_sigma=inter.D_sigma,
+            E_script=f.E_script,
+            E_sigma=f.E_sigma,
+            D_sigma=f.D_sigma,
             E0_integral=e0_int,
             sigma=self.sigma,
             min_rho=state.min_rho(),
             min_n1=f.min_n1,
-            grad_u_max=gradient_norm_max(self.grid, f.u),
+            grad_u_max=grad_u_max,
             E_dev=f.E_dev,
-            u_align_dist=u_dist,
-            v_align_dist=v_dist,
+            u_align_dist=float(np.max(np.sqrt(_dot_sq(f.u - tgt)))),
+            v_align_dist=float(np.max(np.sqrt(_dot_sq(f.v - tgt)))),
         )
 
         jc = _jc_bounds(f, self.e0)
@@ -712,20 +715,42 @@ class Recorder:
             "equiv_lower_slack": funcs.E_sigma - c1 * funcs.L,
             "equiv_upper_slack": c2 * funcs.L - funcs.E_sigma,
         }
+        mom_total = _mean_vec(state.m) + _mean_vec(state.j)
+        return Evaluation(
+            f.av, funcs, _mean(state.n), mom_total, checks, f.energies, f.sinks, flags
+        )
+
+    def record(
+        self,
+        t: float,
+        state: State,
+        window=None,
+        flags: tuple[str, ...] = (),
+        evaluation: Evaluation | None = None,
+    ) -> DiagnosticsRecord:
+        """The record of ``state`` at time t; ``evaluation`` is
+        ``self.evaluate(state)`` when the caller has it already.
+
+        ``window`` is ``((h0, before), (h1, after))``: the neighbours'
+        evaluations and their distances in time.  Without it the record is
+        an endpoint and carries no residuals.
+        """
+        ev = evaluation if evaluation is not None else self.evaluate(state)
+        flags = flags + ev.flags
+        if window is None:
+            residuals = dict.fromkeys(RESIDUALS, math.nan)
+            flags = flags + ("endpoint",)
+        else:
+            (h0, before), (h1, after) = window
+            residuals = _residuals((t - h0, t, t + h1), before.energies, ev, after.energies)
+
         # the endpoint residuals and E0_integral under e0_hypothesis are nan
         # by design; any other non-finite value is flagged
-        watched = vars(funcs) | checks | (residuals if window is not None else {})
-        if e0_violated:
+        watched = vars(ev.functionals) | ev.checks | (residuals if window is not None else {})
+        if ev.flags:
             del watched["E0_integral"]
         if not all(math.isfinite(v) for v in watched.values()):
             flags = flags + ("nonfinite",)
         return DiagnosticsRecord(
-            t=t,
-            averages=f.av,
-            functionals=funcs,
-            mass_n=_mean(state.n),
-            mom_total=_mean_vec(state.m) + _mean_vec(state.j),
-            residuals=residuals,
-            checks=checks,
-            flags=flags,
+            t, ev.averages, ev.functionals, ev.mass_n, ev.mom_total, residuals, ev.checks, flags
         )

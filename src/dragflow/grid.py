@@ -86,9 +86,24 @@ class Grid:
         self._inv_neg_k2 = np.where(
             self._k2 > 0.0, -1.0 / np.where(self._k2 > 0.0, self._k2, 1.0), 0.0
         )
+        # Parseval weights: the columns k_last = 0 and n/2 are their own
+        # conjugate twins; every other column of the half spectrum stands
+        # for itself and its twin.  Each weight is repeated for the real and
+        # the imaginary part of its mode.
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        self._parseval = np.repeat(weight / float(n**dim) ** 2, 2)
+        grid_axes = "ijk"[-dim:]
+        self._inner_subscripts = f"...{grid_axes},...{grid_axes},{grid_axes[-1]}->..."
         self._dealias_keep = self._box(n / 3.0)
         # derivative with the 2/3-rule truncation folded in (diagonal ops commute)
         self._ik_dealias = [ik * self._dealias_keep for ik in self._ik]
+
+    def _lift(self, fhat: np.ndarray) -> np.ndarray:
+        """Spectrum of the Bogovskii lift of a scalar field from its spectrum:
+        i k_a * (-1/|k|^2) * f_k, the gradient of the Poisson solve, per axis."""
+        phi = fhat * self._inv_neg_k2
+        return np.stack([ik * phi for ik in self._ik])
 
     def _box(self, kmax: float) -> np.ndarray:
         """Half-spectrum mask of the modes with every |k_axis| <= kmax."""
@@ -140,6 +155,17 @@ class Grid:
             out[i] = np.fft.irfftn(fhat[i], s=self.shape, axes=self._axes)
         return out
 
+    def inner(self, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+        """mean(f * g) of real fields, read from their half spectra (Parseval).
+
+        Sums over the grid axes only, so stacks give one mean per field;
+        leading axes broadcast.  Re(conj(f_k) g_k) is summed over the real
+        and imaginary parts of each mode, read as pairs of floats, so both
+        spectra must be contiguous along their last axis.
+        """
+        f, g = fhat.view(float), ghat.view(float)
+        return np.einsum(self._inner_subscripts, f, g, self._parseval)
+
     # -- differential operators ------------------------------------------
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
@@ -164,22 +190,26 @@ class Grid:
 
     # -- elliptic solves --------------------------------------------------
 
-    def poisson_mean_zero(self, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        """Solve laplacian(phi) = f - mean(f) with mean(phi) = 0.
-
-        Requires |mean(f)| <= tol * rms(f); a violation signals that the
-        caller passed a source outside the operator's range.
-        """
+    @staticmethod
+    def _check_mean_zero(f: np.ndarray, tol: float) -> None:
+        """Raise MeanNotZero unless |mean(f)| <= tol * rms(f): a larger mean
+        signals that the caller passed a source outside the operator's range."""
         rms = float(np.sqrt(np.mean(f * f)))
         if abs(float(np.mean(f))) > tol * rms:
             raise MeanNotZero(
                 f"source mean {np.mean(f):.3e} exceeds {tol:g} * rms {rms:.3e}"
             )
+
+    def poisson_mean_zero(self, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        """Solve laplacian(phi) = f - mean(f) with mean(phi) = 0."""
+        self._check_mean_zero(f, tol)
         return self._ifft(self._fft(f) * self._inv_neg_k2)
 
     def bogovskii(self, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        """Vector field with divergence f - mean(f), realized as grad(phi)."""
-        return self.gradient(self.poisson_mean_zero(f, tol))
+        """Vector field with divergence f - mean(f), realized as grad(phi)
+        with laplacian(phi) = f - mean(f), in one transform call each way."""
+        self._check_mean_zero(f, tol)
+        return self._ifft(self._lift(self._fft(f)))
 
     # -- norms ------------------------------------------------------------
 

@@ -237,8 +237,20 @@ def run(
     grad0 = grad_velocity_max(initial, floor)
     ceiling = steepening_factor * grad0 if grad0 > 1e-12 else math.inf
 
-    records: list[DiagnosticsRecord] = []
-    records.append(recorder.record(0.0, initial))
+    # [state, its max|grad u| from the guard, its evaluation] for the current
+    # state and, while a pending record needs it, the one a step behind.  A
+    # state is evaluated once, by the first record that needs it, and then
+    # only the evaluation's scalars are kept; a record evaluates its centre
+    # and neighbours together.
+    def evaluated(entry: list):
+        if entry[2] is None:
+            entry[2] = recorder.evaluate(entry[0], entry[1])
+            entry[0] = None
+        return entry[2]
+
+    cur = [initial, grad0, None]
+    prev: list | None = None
+    records: list[DiagnosticsRecord] = [recorder.record(0.0, initial, evaluation=evaluated(cur))]
 
     status = Status.COMPLETED
     floor_ever = False
@@ -246,8 +258,7 @@ def run(
     t = 0.0
     steps = 0
     state = initial
-    prev: tuple[float, State] | None = None  # state one step behind
-    pending: tuple[float, State, float] | None = None  # (t, state, dt_before)
+    pending_dt: float | None = None  # dt before the current state, awaiting its window
 
     t_end = cfg.t_end
     eps = 1e-12 * max(1.0, t_end)
@@ -263,35 +274,34 @@ def run(
             if steps == 0:
                 records[0] = replace(records[0], flags=stop + records[0].flags)
             else:
-                records.append(recorder.record(t, state, flags=stop))
+                records.append(recorder.record(t, state, flags=stop, evaluation=evaluated(cur)))
             return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
 
         floor_ever = floor_ever or info.floor_active
         reproj_max = max(reproj_max, info.reprojection)
 
-        if pending is not None:
-            pt, ps, dt_before = pending
-            window = ((dt_before, prev[1]), (dt, new_state))
-            records.append(recorder.record(pt, ps, window=window))
-            pending = None
+        new = [new_state, grad_velocity_max(new_state, floor), None]
+        if pending_dt is not None:
+            window = ((pending_dt, evaluated(prev)), (dt, evaluated(new)))
+            records.append(recorder.record(t, state, window=window, evaluation=evaluated(cur)))
+            pending_dt = None
 
-        prev = (t, state)
+        prev, cur = cur, new
         t += dt
         steps += 1
         state = new_state
 
-        at_end = t >= t_end - eps
-        grad_now = grad_velocity_max(state, floor)
-        if grad_now > ceiling:
+        if cur[1] > ceiling:
             status = Status.GRADIENT_STEEPENING
-            records.append(
-                recorder.record(t, state, flags=("stop:" + status.value,))
-            )
+            flags = ("stop:" + status.value,)
+            records.append(recorder.record(t, state, flags=flags, evaluation=evaluated(cur)))
             return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
 
-        if at_end:
-            records.append(recorder.record(t, state))
+        if t >= t_end - eps:
+            records.append(recorder.record(t, state, evaluation=evaluated(cur)))
         elif steps % cfg.record_every == 0:
-            pending = (t, state, dt)
+            pending_dt = dt
+        else:
+            prev = None
 
     return RunResult(state, records, status, t, steps, floor_ever, reproj_max)

@@ -572,7 +572,7 @@ def test_windowed_record_matches_public_functionals(dim, points):
     t, h0, h1 = 0.3, 0.01, 0.011
     rec = fn.Recorder(g, params, cstar=CSTAR)
     rec.record(0.0, first)
-    got = rec.record(t, center, window=((h0, before), (h1, after)))
+    got = rec.record(t, center, window=((h0, rec.evaluate(before)), (h1, rec.evaluate(after))))
 
     sigma = fn.sigma_default(first, params, CSTAR)
     assert sigma > 0.0
@@ -642,7 +642,7 @@ def test_record_flags_nonfinite_values_only():
     # the endpoint residuals are nan by design
     rec = fn.Recorder(g, PARAMS, cstar=CSTAR)
     assert rec.record(0.0, state).flags == ("endpoint",)
-    window = ((0.01, random_small_state(g, rng)), (0.01, random_small_state(g, rng)))
+    window = tuple((0.01, rec.evaluate(random_small_state(g, rng))) for _ in range(2))
     assert rec.record(0.1, state, window=window).flags == ()
     # so is E0_integral when max|n| > 1/2
     n = 0.6 * np.cos(x)

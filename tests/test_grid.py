@@ -175,6 +175,27 @@ def test_bogovskii_single_mode():
     assert np.max(np.abs(b[1])) < 1e-12
 
 
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_bogovskii_makes_one_transform_call_each_way(dim, n):
+    g = Grid(dim, n)
+    calls = []
+
+    def counted(name, transform):
+        def wrapper(f):
+            calls.append((name, f.shape[:-dim]))
+            return transform(f)
+        return wrapper
+
+    f = random_band_limited(g, np.random.default_rng(dim))
+    want = g.gradient(g.poisson_mean_zero(f))
+    g._fft = counted("forward", g._fft)
+    g._ifft = counted("inverse", g._ifft)
+    got = g.bogovskii(f)
+    # the scalar source in, the dim components of the lift out
+    assert calls == [("forward", ()), ("inverse", (dim,))]
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
 def test_bogovskii_zero():
     g = Grid(1, 16)
     assert np.max(np.abs(g.bogovskii(g.zeros()))) == 0.0
@@ -246,3 +267,24 @@ def test_empirical_bogovskii_constant_is_sqrt2():
         for _ in range(8):
             assert ratio(random_band_limited(g, rng)) <= BOGOVSKII_CONSTANT * (1.0 + 1e-12)
         assert ratio(np.cos(g.coords()[0])) == pytest.approx(BOGOVSKII_CONSTANT, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_inner_matches_the_grid_mean_of_products(dim, n, lead):
+    # white noise fills the whole spectrum, the Nyquist columns included;
+    # h shares part of f so that mean(f * h) is of the size of its terms
+    g = Grid(dim, n)
+    rng = np.random.default_rng(7 * dim + len(lead))
+    f = rng.standard_normal(lead + g.shape)
+    h = f + 0.5 * rng.standard_normal(lead + g.shape)
+    fhat, hhat = g._fft(f), g._fft(h)
+    assert np.all(np.abs(fhat[..., n // 2]) > 0.0)
+    axes = tuple(range(-dim, 0))
+    got = g.inner(fhat, hhat)
+    assert np.shape(got) == lead
+    np.testing.assert_allclose(got, np.mean(f * h, axis=axes), rtol=1e-13, atol=0.0)
+    # leading axes broadcast: one field against every field of a stack
+    first = (0,) * len(lead)
+    want = np.mean(h[first] * f, axis=axes)
+    np.testing.assert_allclose(g.inner(hhat[first], fhat), want, rtol=1e-13, atol=0.0)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dragflow.functionals as fn
 from dragflow.dynamics import FluidParams, State
 from dragflow.grid import Grid
 from dragflow.initial import InitSpec, generate_initial
@@ -252,6 +253,66 @@ def test_records_strictly_increasing_and_residuals_present():
         assert math.isfinite(rec.residuals["energy_balance"])
     assert math.isnan(res.records[0].residuals["energy_balance"])
     assert math.isnan(res.records[-1].residuals["energy_balance"])
+
+
+def multi_mode_state(grid, seed=0, amp=0.05):
+    amps = {"rho": amp, "u": amp, "n": amp, "v": amp}
+    spec = InitSpec(kind="multi_mode", amplitudes=amps, modes=3)
+    return generate_initial(spec, grid, np.random.default_rng(seed))
+
+
+def test_run_evaluates_each_state_once():
+    # 2-D 16^2, a record every step: dt_max binds, so 0.04 takes four steps
+    g = Grid(2, 16)
+    state = multi_mode_state(g)
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name, transform):
+        def wrapper(f):
+            calls[name] += 1
+            return transform(f)
+        return wrapper
+
+    g._fft = counted("forward", g._fft)
+    g._ifft = counted("inverse", g._ifft)
+    res = run(state, PARAMS, TimeConfig(t_end=0.04, record_every=1))
+    assert res.status == Status.COMPLETED and res.steps == 4
+    assert len(res.records) == res.steps + 1
+    # per step: four rhs calls (one each way), the new state's evaluation
+    # (forward only) and the guard's gradient of u (one each way); the
+    # initial state adds its own evaluation and guard.  A rebuilt neighbour
+    # or a second gradient of u adds calls.
+    assert calls == {"forward": 6 * res.steps + 2, "inverse": 5 * res.steps + 1}
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_windowed_residuals_pair_each_record_with_its_neighbours(every):
+    g = Grid(2, 16)
+    state = multi_mode_state(g, seed=3)
+    cfg = TimeConfig(t_end=0.07, record_every=every)
+    res = run(state, PARAMS, cfg)
+    assert res.status == Status.COMPLETED
+    # the trajectory again, step by step, as run takes it: (t, state, dt before)
+    traj = [(0.0, state, None)]
+    t, s = 0.0, state
+    while t < cfg.t_end - 1e-12:
+        dt = min(compute_dt(s, PARAMS, cfg), cfg.t_end - t)
+        s, _ = step(s, PARAMS, dt, cfg.scheme)
+        t += dt
+        traj.append((t, s, dt))
+    assert len(traj) == res.steps + 1
+    index = {entry[0]: k for k, entry in enumerate(traj)}
+    windowed = [r for r in res.records if not math.isnan(r.residuals["energy_balance"])]
+    assert [index[r.t] for r in windowed] == list(range(every, res.steps, every))
+    sigma = res.records[0].functionals.sigma
+    for rec in windowed:
+        k = index[rec.t]
+        # the record centres its window on t with the step sizes on either side
+        before = (rec.t - traj[k][2], traj[k - 1][1])
+        after = (rec.t + traj[k + 1][2], traj[k + 1][1])
+        want = fn.identity_residuals(before, (rec.t, traj[k][1]), after, PARAMS, sigma)
+        for name, value in want.items():
+            assert rec.residuals[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 def _libc_has_mallopt() -> bool:
