@@ -104,8 +104,7 @@ class _Fields:
     order.
     """
 
-    def __init__(self, state: State, params: FluidParams, sigma: float = 0.0,
-                 floor: float = VACUUM_FLOOR):
+    def __init__(self, state: State, params: FluidParams, sigma: float = 0.0):
         if sigma < 0.0:
             raise DiagnosticsError("sigma must be nonnegative")
         g = state.grid
@@ -116,8 +115,8 @@ class _Fields:
         if self.min_n1 <= 0.0:
             raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
         self.av = av = averages(state)
-        self.u, _ = primitive_velocity(state.rho, state.m, floor)
-        self.v, _ = primitive_velocity(self.n1, state.j, floor)
+        self.u, _ = primitive_velocity(state.rho, state.m)
+        self.v, _ = primitive_velocity(self.n1, state.j)
         bshape = (-1,) + (1,) * d
         du = self.u - av.m_c.reshape(bshape)
         dv = self.v - av.j_c.reshape(bshape)
@@ -143,7 +142,7 @@ class _Fields:
         self.L = self.L_p + _mean(state.n * state.n)
         # mean of f(1+n; 1), via the cancellation-free deviation identity
         self.potential = _mean(self.pdev) / (params.gamma - 1.0)
-        ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, floor))
+        ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, VACUUM_FLOOR))
         self.E_dev = ke_p + _mean(_dot_sq(state.j) / self.n1) + 2.0 * self.potential
         self.E = self.E_dev + 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
         self.E_script = self.fluct_p + self.fluct_f + 2.0 * self.potential + (
@@ -203,7 +202,7 @@ class _Fields:
 # ---------------------------------------------------------------------------
 
 
-def energy_deviation(state: State, params: FluidParams, floor: float = 1e-8) -> float:
+def energy_deviation(state: State, params: FluidParams) -> float:
     """Total energy minus its equilibrium constant 2/(gamma-1).
 
     Deviation form of the kinetic + internal energy: exact up to the
@@ -211,7 +210,7 @@ def energy_deviation(state: State, params: FluidParams, floor: float = 1e-8) -> 
     fluctuations rather than on the O(1) equilibrium energy, which keeps
     the balance residual measurable at late times.
     """
-    return _Fields(state, params, floor=floor).E_dev
+    return _Fields(state, params).E_dev
 
 
 def total_energy(state: State, params: FluidParams) -> float:
@@ -316,37 +315,37 @@ def interacting_energy(
     return InteractingEnergy(f.E_script, f.E_sigma, f.D_sigma, sigma, f.terms)
 
 
-def _sigma_max(n_bar: float, bounds: tuple[float, float], cstar: float) -> float:
-    return min(1.0 / n_bar, 2.0 * bounds[0] / cstar)
+def _sigma_max(n_bar: float, bounds: tuple[float, float]) -> float:
+    return min(1.0 / n_bar, 2.0 * bounds[0] / BOGOVSKII_CONSTANT)
 
 
-def _sigma_default(n_bar: float, bounds: tuple[float, float], cstar: float) -> float:
-    return min(0.01, 0.5 * _sigma_max(n_bar, bounds, cstar))
+def _sigma_default(n_bar: float, bounds: tuple[float, float]) -> float:
+    return min(0.01, 0.5 * _sigma_max(n_bar, bounds))
 
 
-def sigma_admissible_max(state: State, params: FluidParams, cstar: float) -> float:
+def sigma_admissible_max(state: State, params: FluidParams) -> float:
     """Largest sigma keeping the lower equivalence constant positive."""
     n_bar = float(np.max(1.0 + state.n))
-    return _sigma_max(n_bar, _bounds_above(n_bar, params.gamma), cstar)
+    return _sigma_max(n_bar, _bounds_above(n_bar, params.gamma))
 
 
-def sigma_default(state: State, params: FluidParams, cstar: float) -> float:
+def sigma_default(state: State, params: FluidParams) -> float:
     n_bar = float(np.max(1.0 + state.n))
-    return _sigma_default(n_bar, _bounds_above(n_bar, params.gamma), cstar)
+    return _sigma_default(n_bar, _bounds_above(n_bar, params.gamma))
 
 
 def _equivalence(
-    rho_c: float, n_bar: float, bounds: tuple[float, float], sigma: float, cstar: float
+    rho_c: float, n_bar: float, bounds: tuple[float, float], sigma: float
 ) -> tuple[float, float]:
     c1_pp, c2_pp = bounds
     frac = rho_c / (rho_c + 1.0)
-    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * cstar)
-    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * cstar)
+    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * BOGOVSKII_CONSTANT)
+    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * BOGOVSKII_CONSTANT)
     return c1, c2
 
 
 def equivalence_constants(
-    state: State, params: FluidParams, sigma: float, cstar: float
+    state: State, params: FluidParams, sigma: float
 ) -> tuple[float, float]:
     """(c1, c2) with c1 * L <= E_sigma <= c2 * L for admissible sigma.
 
@@ -355,7 +354,7 @@ def equivalence_constants(
     """
     n_bar = float(np.max(1.0 + state.n))
     bounds = _bounds_above(n_bar, params.gamma)
-    return _equivalence(averages(state).rho_c, n_bar, bounds, sigma, cstar)
+    return _equivalence(averages(state).rho_c, n_bar, bounds, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +499,7 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def decay_fit(
-    times,
-    values,
-    window: tuple[float, float] | None = None,
-    min_records: int = 10,
-) -> DecayFit:
+def decay_fit(times, values, window: tuple[float, float] | None = None) -> DecayFit:
     """Least-squares line on (t, log value); lambda_hat is minus the slope.
 
     Default window drops the first 20% of the samples (transient).
@@ -517,10 +511,8 @@ def decay_fit(
         window = (lo, t[-1])
     sel = (t >= window[0]) & (t <= window[1])
     t, y = t[sel], y[sel]
-    if len(t) < min_records or np.any(y <= 0.0) or len(t) == 0:
-        raise NonPositiveValues(
-            f"need >= {min_records} records with positive values in window"
-        )
+    if len(t) < 10 or np.any(y <= 0.0):
+        raise NonPositiveValues("need >= 10 records with positive values in window")
     logy = np.log(y)
     slope, intercept = np.polyfit(t, logy, 1)
     fitted = slope * t + intercept
@@ -531,10 +523,9 @@ def decay_fit(
     return DecayFit(float(-slope), float(np.exp(intercept)), r2, window)
 
 
-def characteristic_lower_bound_check(
-    records, tol_factor: float = 1e-6
-) -> tuple[bool, list[float]]:
-    """min rho(t) >= (min rho_0) * exp(-int_0^t max|grad u|) - tol.
+def characteristic_lower_bound_check(records) -> tuple[bool, list[float]]:
+    """min rho(t) >= (min rho_0) * exp(-int_0^t max|grad u|) - tol,
+    with tol = 1e-6 * min rho_0.
 
     Accumulates the gradient integral by the trapezoid rule over records.
     Returns (all ok, per-record margins min_rho - bound + tol).
@@ -542,7 +533,7 @@ def characteristic_lower_bound_check(
     if not records:
         raise DiagnosticsError("no records")
     delta0 = records[0].functionals.min_rho
-    tol = tol_factor * delta0
+    tol = 1e-6 * delta0
     accum = 0.0
     margins = []
     prev_t = records[0].t
@@ -568,7 +559,7 @@ def alignment_target(averages0: Averages) -> np.ndarray:
     return (averages0.rho_c * averages0.m_c + averages0.j_c) / (averages0.rho_c + 1.0)
 
 
-def alignment_check(records, averages0: Averages | None = None) -> dict:
+def alignment_check(records) -> dict:
     """Series of grid-max velocity distances to the limit and the mean gap."""
     if not records:
         raise DiagnosticsError("no records")
@@ -650,11 +641,9 @@ class Recorder:
         grid: Grid,
         params: FluidParams,
         sigma: float | None = None,
-        cstar: float | None = None,
     ):
         self.grid = grid
         self.params = params
-        self.cstar = cstar if cstar is not None else BOGOVSKII_CONSTANT
         self._sigma_override = sigma
         self.sigma: float | None = None
         self.averages0: Averages | None = None
@@ -670,7 +659,7 @@ class Recorder:
         if self.sigma is None:
             self.sigma = self._sigma_override
             if self.sigma is None:
-                self.sigma = _sigma_default(n_bar, bounds, self.cstar)
+                self.sigma = _sigma_default(n_bar, bounds)
         f = _Fields(state, params, self.sigma)
         if self.averages0 is None:
             self.averages0, self._target, self.e0 = f.av, alignment_target(f.av), f.E
@@ -704,7 +693,7 @@ class Recorder:
 
         jc = _jc_bounds(f, self.e0)
         dom = _domination(f, n_bar)
-        c1, c2 = _equivalence(f.av.rho_c, n_bar, bounds, self.sigma, self.cstar)
+        c1, c2 = _equivalence(f.av.rho_c, n_bar, bounds, self.sigma)
         checks = {
             "jc_momentum_slack": jc.slack_momentum,
             "jc_rate_slack": jc.slack_rate,

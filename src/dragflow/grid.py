@@ -191,24 +191,22 @@ class Grid:
     # -- elliptic solves --------------------------------------------------
 
     @staticmethod
-    def _check_mean_zero(f: np.ndarray, tol: float) -> None:
-        """Raise MeanNotZero unless |mean(f)| <= tol * rms(f): a larger mean
+    def _check_mean_zero(f: np.ndarray) -> None:
+        """Raise MeanNotZero unless |mean(f)| <= 1e-10 * rms(f): a larger mean
         signals that the caller passed a source outside the operator's range."""
         rms = float(np.sqrt(np.mean(f * f)))
-        if abs(float(np.mean(f))) > tol * rms:
-            raise MeanNotZero(
-                f"source mean {np.mean(f):.3e} exceeds {tol:g} * rms {rms:.3e}"
-            )
+        if abs(float(np.mean(f))) > 1e-10 * rms:
+            raise MeanNotZero(f"source mean {np.mean(f):.3e} exceeds 1e-10 * rms {rms:.3e}")
 
-    def poisson_mean_zero(self, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def poisson_mean_zero(self, f: np.ndarray) -> np.ndarray:
         """Solve laplacian(phi) = f - mean(f) with mean(phi) = 0."""
-        self._check_mean_zero(f, tol)
+        self._check_mean_zero(f)
         return self._ifft(self._fft(f) * self._inv_neg_k2)
 
-    def bogovskii(self, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def bogovskii(self, f: np.ndarray) -> np.ndarray:
         """Vector field with divergence f - mean(f), realized as grad(phi)
         with laplacian(phi) = f - mean(f), in one transform call each way."""
-        self._check_mean_zero(f, tol)
+        self._check_mean_zero(f)
         return self._ifft(self._lift(self._fft(f)))
 
     # -- norms ------------------------------------------------------------
@@ -233,12 +231,9 @@ class Grid:
 
 
 def random_band_limited(
-    grid: Grid,
-    rng: np.random.Generator,
-    kmax: int | None = None,
-    mean_zero: bool = True,
+    grid: Grid, rng: np.random.Generator, kmax: int | None = None
 ) -> np.ndarray:
-    """Random real field supported on modes with every |k_axis| <= kmax.
+    """Random mean-zero real field supported on modes with every |k_axis| <= kmax.
 
     Defaults to the dealias cutoff so products of two such fields stay
     representable.  Used by the property suites and the self-test command.
@@ -247,7 +242,6 @@ def random_band_limited(
         kmax = grid.n // 3
     white = rng.standard_normal(grid.shape)
     f = grid._ifft(grid._fft(white) * grid._box(kmax))
-    if mean_zero:
-        f = f - np.mean(f)
+    f = f - np.mean(f)
     scale = float(np.max(np.abs(f)))
     return f / scale if scale > 0 else f

@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .grid import TWO_PI
 
 _want_numba = os.environ.get("SIM_NUMBA", "1") != "0"
 try:

@@ -126,19 +126,18 @@ def monokinetic_ensemble(
     rho_values: np.ndarray,
     u_values: np.ndarray,
     n_particles: int,
-    oversample: int = 16,
 ) -> ParticleEnsemble:
     """Deterministic quiet start: equal weights, positions from the
     inverse cumulative mass of rho, velocities sampled from u.
 
-    The inverse CDF is built on a trigonometric upsampling of rho, so the
-    start is reproducible and free of sampling noise.
+    The inverse CDF is built on a 16-fold trigonometric upsampling of rho,
+    so the start is reproducible and free of sampling noise.
     """
     if grid.dim != 1:
         raise KineticError("particle solver is 1-D only")
     if float(np.min(rho_values)) <= 0.0:
         raise KineticError("quiet start requires strictly positive rho")
-    n_fine = oversample * grid.n
+    n_fine = 16 * grid.n
     rho_fine = np.fft.irfft(np.fft.rfft(rho_values), n_fine) * (n_fine / grid.n)
     u_fine = np.fft.irfft(np.fft.rfft(u_values), n_fine) * (n_fine / grid.n)
     dxf = TWO_PI / n_fine

@@ -171,15 +171,14 @@ def write_snapshot_index(directory, entries: list[dict], dim: int, n: int) -> Pa
     return path
 
 
-def load_state(index_path, grid: Grid, time: float | None = None) -> State:
-    """Rebuild a State from a snapshot index (latest time by default)."""
+def load_state(index_path, grid: Grid) -> State:
+    """Rebuild a State from the latest time in a snapshot index."""
     index_path = Path(index_path)
     index = json.loads(index_path.read_text())
     if index.get("dim") != grid.dim or index.get("points_per_axis") != grid.n:
         raise ValueError("snapshot grid does not match the requested grid")
     entries = index["entries"]
-    times = sorted({e["t"] for e in entries})
-    target = times[-1] if time is None else min(times, key=lambda s: abs(s - time))
+    target = max(e["t"] for e in entries)
     fields = {}
     for e in entries:
         if e["t"] == target:

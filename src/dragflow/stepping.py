@@ -20,6 +20,9 @@ from .dynamics import (
 )
 from .functionals import DiagnosticsRecord, Recorder
 
+# max|grad u| above this multiple of its initial value stops a run (see run)
+STEEPENING_FACTOR = 10.0
+
 
 class Status(str, Enum):
     COMPLETED = "completed"
@@ -112,11 +115,9 @@ class RunResult:
         return np.array([r.t for r in self.records])
 
 
-def compute_dt(
-    state: State, params: FluidParams, cfg: TimeConfig, floor: float = VACUUM_FLOOR
-) -> float:
+def compute_dt(state: State, params: FluidParams, cfg: TimeConfig) -> float:
     """min of the advective CFL, the diffusive CFL, and dt_max."""
-    return cfl_dt(max_speed(state, params, floor), state.grid.dx, params, cfg)
+    return cfl_dt(max_speed(state, params), state.grid.dx, params, cfg)
 
 
 def cfl_dt(speed: float, dx: float, params: FluidParams, cfg: TimeConfig) -> float:
@@ -176,11 +177,7 @@ class StepInfo:
 
 
 def step(
-    state: State,
-    params: FluidParams,
-    dt: float,
-    scheme: str = "rk4",
-    floor: float = VACUUM_FLOOR,
+    state: State, params: FluidParams, dt: float, scheme: str = "rk4"
 ) -> tuple[State, StepInfo]:
     """One explicit step; re-asserts invariants and re-projects mean(n).
 
@@ -191,7 +188,7 @@ def step(
     info = StepInfo()
 
     def f(y):
-        rates = rhs(State(g, *y), params, floor)
+        rates = rhs(State(g, *y), params)
         info.floor_active = info.floor_active or rates.floor_active
         return rates.d_rho, rates.d_m, rates.d_n, rates.d_j
 
@@ -205,8 +202,8 @@ def step(
     for name, arr in (("rho", new.rho), ("m", new.m), ("n", new.n), ("j", new.j)):
         if not np.all(np.isfinite(arr)):
             raise BlowupError(f"non-finite values in {name}")
-    if new.min_rho() < floor:
-        raise VacuumBreachError(f"min rho = {new.min_rho():.3e} below floor {floor:g}")
+    if new.min_rho() < VACUUM_FLOOR:
+        raise VacuumBreachError(f"min rho = {new.min_rho():.3e} below floor {VACUUM_FLOOR:g}")
     if new.min_n1() <= 0.0:
         raise FluidVacuumBreachError(f"min(1+n) = {new.min_n1():.3e}")
     return new, info
@@ -217,8 +214,6 @@ def run(
     params: FluidParams,
     cfg: TimeConfig,
     recorder: Recorder | None = None,
-    floor: float = VACUUM_FLOOR,
-    steepening_factor: float = 10.0,
 ) -> RunResult:
     """Advance to t_end, recording diagnostics every record_every steps.
 
@@ -226,7 +221,7 @@ def run(
     integrator steps, so a record is finalized one step after its state is
     reached; the t=0 and final records carry no residuals.  A run stops
     early with a non-completed status when a vacuum/blowup guard trips or
-    when max|grad u| exceeds steepening_factor times its initial value
+    when max|grad u| exceeds STEEPENING_FACTOR times its initial value
     (small-data regime guard; uniform initial data disables the ceiling).
     """
     _pin_malloc_thresholds()
@@ -234,8 +229,8 @@ def run(
     if recorder is None:
         recorder = Recorder(initial.grid, params)
 
-    grad0 = grad_velocity_max(initial, floor)
-    ceiling = steepening_factor * grad0 if grad0 > 1e-12 else math.inf
+    grad0 = grad_velocity_max(initial)
+    ceiling = STEEPENING_FACTOR * grad0 if grad0 > 1e-12 else math.inf
 
     # [state, its max|grad u| from the guard, its evaluation] for the current
     # state and, while a pending record needs it, the one a step behind.  A
@@ -264,8 +259,8 @@ def run(
     eps = 1e-12 * max(1.0, t_end)
     while t < t_end - eps:
         try:
-            dt = min(compute_dt(state, params, cfg, floor), t_end - t)
-            new_state, info = step(state, params, dt, cfg.scheme, floor)
+            dt = min(compute_dt(state, params, cfg), t_end - t)
+            new_state, info = step(state, params, dt, cfg.scheme)
         except IntegrationError as err:
             # a pending record is the current (t, state): record it with the
             # stop flag; at the first step the stop record replaces t=0's
@@ -280,7 +275,7 @@ def run(
         floor_ever = floor_ever or info.floor_active
         reproj_max = max(reproj_max, info.reprojection)
 
-        new = [new_state, grad_velocity_max(new_state, floor), None]
+        new = [new_state, grad_velocity_max(new_state), None]
         if pending_dt is not None:
             window = ((pending_dt, evaluated(prev)), (dt, evaluated(new)))
             records.append(recorder.record(t, state, window=window, evaluation=evaluated(cur)))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from dragflow.cli import main
+from dragflow.cli import main, run_validation
+from dragflow.config import load_config
 from dragflow.recordio import read_records
 
 
@@ -122,6 +123,21 @@ def test_validate_passes_on_small_run(tmp_path, capsys):
     assert any(l.startswith("conservation.momentum_drift") for l in lines)
 
 
+def test_validate_prints_the_momentum_bound_slacks_as_minima(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    printed = {
+        name: float(value)
+        for name, value, *_ in (line.split() for line in capsys.readouterr().out.splitlines())
+    }
+    _, result = run_validation(load_config(cfg), None)
+    for name in ("jc_momentum", "jc_rate"):
+        worst = min(r.checks[name + "_slack"] for r in result.records)
+        assert printed[f"inequality.{name}_min_slack"] == worst
+        assert worst >= 0.0  # the rate slack is 0 at t=0, where u = v
+    assert printed["inequality.jc_momentum_min_slack"] > 0.0
+
+
 def test_validate_fails_on_unstable_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, time={"t_end": 0.5, "cfl_diffusive": 1.0, "dt_max": 1.0})
     code = main(["validate", "--config", str(cfg), "--out", str(tmp_path)])
@@ -156,6 +172,17 @@ def test_decay_study_rows(tmp_path, capsys):
     assert rows[3]["status"] == "non_positive_values"
 
 
+@pytest.mark.parametrize("amplitudes", ["abc", "0.01,nan", "inf", " , "])
+def test_decay_study_rejects_bad_amplitudes(tmp_path, capsys, amplitudes):
+    cfg = write_cfg(tmp_path)
+    code = main(
+        ["decay-study", "--config", str(cfg), "--out", str(tmp_path), "--amplitudes", amplitudes]
+    )
+    assert code == 2
+    assert "--amplitudes" in capsys.readouterr().err
+    assert not (tmp_path / "decay_study.csv").exists()
+
+
 def test_kinetic_compare_smoke(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -173,6 +200,16 @@ def test_kinetic_compare_requires_1d(tmp_path, capsys):
     cfg = write_cfg(tmp_path, grid={"dim": 2, "points_per_axis": 16})
     code = main(["kinetic-compare", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kinetic_compare_exits_3_when_a_run_stops(tmp_path, capsys):
+    # at gamma = 1e6 the grid reference run cannot compute its first dt
+    cfg = write_cfg(tmp_path, params={"gamma": 1e6}, kinetic={"particles": 1000})
+    code = main(["kinetic-compare", "--config", str(cfg)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["kinetic-compare failed: grid reference run stopped: blowup"]
 
 
 def test_bogovskii_test_subcommand(tmp_path, capsys):

@@ -74,16 +74,16 @@ def test_primitive_velocity():
     g = Grid(1, 32)
     rho = np.ones(g.shape)
     m = np.full((1,) + g.shape, 2.0)
-    u, flagged = primitive_velocity(rho, m, 1e-8)
+    u, flagged = primitive_velocity(rho, m)
     assert np.allclose(u, 2.0) and not flagged
 
-    u0, flagged0 = primitive_velocity(np.zeros(g.shape), np.zeros((1,) + g.shape), 1e-8)
+    u0, flagged0 = primitive_velocity(np.zeros(g.shape), np.zeros((1,) + g.shape))
     assert np.allclose(u0, 0.0) and flagged0
 
     x = g.coords()[0]
     rho = 1.0 + 0.1 * np.cos(x)
     m = np.sin(x)[None]
-    u, flagged = primitive_velocity(rho, m, 1e-8)
+    u, flagged = primitive_velocity(rho, m)
     assert np.max(np.abs(u[0] - np.sin(x) / rho)) < 1e-14 and not flagged
 
 

@@ -15,7 +15,6 @@ from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
 
 PARAMS = FluidParams(gamma=2.0, mu=1.0, lam=0.0)
-CSTAR = math.sqrt(2.0)
 
 
 def make_state(grid, rho, u, n, v):
@@ -242,7 +241,7 @@ def test_small_data_sigma_and_lower_constant_positive(gamma):
     spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.01, "u": 0.01, "n": 0.01, "v": 0.01})
     state = generate_initial(spec, g)
     params = FluidParams(gamma=gamma, mu=1.0)
-    assert fn.sigma_default(state, params, CSTAR) > 0.0
+    assert fn.sigma_default(state, params) > 0.0
     rec = fn.Recorder(g, params).record(0.0, state)
     assert rec.functionals.sigma > 0.0
     assert rec.checks["equiv_c1"] > 0.0
@@ -350,8 +349,8 @@ def test_equivalence_on_random_states():
     rng = np.random.default_rng(55)
     for _ in range(50):
         state = random_small_state(g, rng)
-        sigma = fn.sigma_default(state, PARAMS, CSTAR)
-        c1, c2 = fn.equivalence_constants(state, PARAMS, sigma, CSTAR)
+        sigma = fn.sigma_default(state, PARAMS)
+        c1, c2 = fn.equivalence_constants(state, PARAMS, sigma)
         assert 0.0 < c1 <= c2
         l_val, _ = fn.lyapunov(state, PARAMS)
         inter = fn.interacting_energy(state, PARAMS, sigma)
@@ -363,9 +362,9 @@ def test_sigma_default_positive_and_admissible():
     g = Grid(1, 64)
     rng = np.random.default_rng(60)
     state = random_small_state(g, rng)
-    sigma = fn.sigma_default(state, PARAMS, CSTAR)
+    sigma = fn.sigma_default(state, PARAMS)
     assert 0.0 < sigma <= 0.01
-    assert sigma <= 0.5 * fn.sigma_admissible_max(state, PARAMS, CSTAR)
+    assert sigma <= 0.5 * fn.sigma_admissible_max(state, PARAMS)
 
 
 # -- pointwise energy density -------------------------------------------------
@@ -538,7 +537,7 @@ def test_alignment_target_and_check():
     from dragflow.stepping import TimeConfig, run
 
     res = run(state, PARAMS, TimeConfig(t_end=3.0, dt_max=1e-3, record_every=500))
-    series = fn.alignment_check(res.records, av0)
+    series = fn.alignment_check(res.records)
     assert series["u_dist"][-1] < 1e-2 * series["u_dist"][0]
     assert series["v_dist"][-1] < 1e-2 * series["v_dist"][0]
     assert series["mcjc_dist"][-1] < 1e-2 * series["mcjc_dist"][0]
@@ -570,11 +569,11 @@ def test_windowed_record_matches_public_functionals(dim, points):
     params = FluidParams(gamma=1.4, mu=0.7, lam=0.2)
     first, before, center, after = (random_small_state(g, rng) for _ in range(4))
     t, h0, h1 = 0.3, 0.01, 0.011
-    rec = fn.Recorder(g, params, cstar=CSTAR)
+    rec = fn.Recorder(g, params)
     rec.record(0.0, first)
     got = rec.record(t, center, window=((h0, rec.evaluate(before)), (h1, rec.evaluate(after))))
 
-    sigma = fn.sigma_default(first, params, CSTAR)
+    sigma = fn.sigma_default(first, params)
     assert sigma > 0.0
     av0 = fn.averages(first)
     e0 = fn.total_energy(first, params)
@@ -612,7 +611,7 @@ def test_windowed_record_matches_public_functionals(dim, points):
 
     jc = fn.jc_bounds_check(center, params, e0)
     dom = fn.dissipation_domination_check(center, params)
-    c1, c2 = fn.equivalence_constants(center, params, sigma, CSTAR)
+    c1, c2 = fn.equivalence_constants(center, params, sigma)
     checks = {
         "jc_momentum_slack": jc.slack_momentum,
         "jc_rate_slack": jc.slack_rate,
@@ -640,17 +639,17 @@ def test_record_flags_nonfinite_values_only():
     rng = np.random.default_rng(5)
     state = random_small_state(g, rng)
     # the endpoint residuals are nan by design
-    rec = fn.Recorder(g, PARAMS, cstar=CSTAR)
+    rec = fn.Recorder(g, PARAMS)
     assert rec.record(0.0, state).flags == ("endpoint",)
     window = tuple((0.01, rec.evaluate(random_small_state(g, rng))) for _ in range(2))
     assert rec.record(0.1, state, window=window).flags == ()
     # so is E0_integral when max|n| > 1/2
     n = 0.6 * np.cos(x)
     wide = make_state(g, np.ones(g.shape), g.zeros_vector(), n - np.mean(n), g.zeros_vector())
-    got = fn.Recorder(g, PARAMS, cstar=CSTAR).record(0.0, wide)
+    got = fn.Recorder(g, PARAMS).record(0.0, wide)
     assert math.isnan(got.functionals.E0_integral)
     assert got.flags == ("e0_hypothesis", "endpoint")
     # the pressure overflows at gamma = 1e6
-    got = fn.Recorder(g, FluidParams(gamma=1e6, mu=1.0), cstar=CSTAR).record(0.0, state)
+    got = fn.Recorder(g, FluidParams(gamma=1e6, mu=1.0)).record(0.0, state)
     assert math.isinf(got.functionals.E)
     assert got.flags == ("endpoint", "nonfinite")

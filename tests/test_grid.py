@@ -244,13 +244,16 @@ def test_poincare_on_random_fields(dim, n):
         assert norms.l2 <= grad_l2 * (1 + 1e-12)
 
 
-def test_bogovskii_divergence_roundtrip():
-    g = Grid(1, 64)
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_bogovskii_divergence_roundtrip(dim, n):
+    # div(bogovskii(f)) and laplacian(poisson_mean_zero(f)) both give f back
+    g = Grid(dim, n)
     rng = np.random.default_rng(23)
     for _ in range(20):
         f = random_band_limited(g, rng)
-        residual = g.norms(g.divergence(g.bogovskii(f)) - f).l2
-        assert residual <= 1e-10 * g.norms(f).l2
+        bound = 1e-10 * g.norms(f).l2
+        assert g.norms(g.divergence(g.bogovskii(f)) - f).l2 <= bound
+        assert g.norms(g.laplacian(g.poisson_mean_zero(f)) - f).l2 <= bound
 
 
 def test_empirical_bogovskii_constant_is_sqrt2():
