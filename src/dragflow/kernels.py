@@ -5,41 +5,21 @@ cloud-in-cell deposition of the first ``count`` velocity moments.
 [0, 1); ``gather`` and ``deposit_moments`` take that pair, so a set of
 positions is indexed once however often it is read.  ``wrap`` is
 ``a % TWO_PI`` bit for bit, computed with ``fmod`` at about a quarter of
-the cost.  Both are numpy only.  The gather and the deposit are compiled
-with numba when it is available (the optional ``jit`` extra).  The path is
-chosen once, at import:
+the cost.  All four are numpy, with one definition each.  To time the
+gather and the deposit per particle, run ``python3 perfbench/run.py
+--workload kinetic1d --trace 1`` (``kernels.*.ns_per_particle``).
 
-* ``HAVE_NUMBA`` is true exactly when ``numba`` imports and the environment
-  variable ``SIM_NUMBA`` is not ``"0"``; ``SIM_NUMBA=0`` always forces the
-  pure-numpy fallback.
-* The module-level names ``deposit_moments`` and ``gather`` then point at
-  the JIT kernels (``deposit_moments_numba``, ``gather_numba``), and
-  otherwise at the numpy ones (``deposit_moments_numpy``, ``gather_numpy``).
-  Both paths take the same arguments and return the same arrays.
-
-The numpy kernels are always defined, for testing.  To time the selected
-path per particle, run ``python3 perfbench/run.py --workload kinetic1d
---trace 1`` (``kernels.*.ns_per_particle``); prefix ``SIM_NUMBA=0`` to time
-the numpy path.
+``HAVE_NUMBA`` is always False.  It stays because the benchmark reads it
+for its ``have_numba`` provenance field, and would fail to start without it.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .grid import TWO_PI
 
-_want_numba = os.environ.get("SIM_NUMBA", "1") != "0"
-try:
-    if _want_numba:
-        from numba import njit
-    else:  # pragma: no cover - exercised via subprocess in tests
-        njit = None
-except ImportError:  # pragma: no cover
-    njit = None
-
-HAVE_NUMBA = njit is not None
+# There is no numba path; perfbench/run.py reads this for its provenance.
+HAVE_NUMBA = False
 
 
 def wrap(a):
@@ -64,7 +44,7 @@ def cell_index(x, dx, n_cells):
     return i0.astype(np.int64), frac
 
 
-def deposit_moments_numpy(i0, frac, xi, w, n_cells, count):
+def deposit_moments(i0, frac, xi, w, n_cells, count):
     """CIC deposition of the first ``count`` velocity moments.
 
     Returns an array of shape (count, n_cells) with
@@ -83,40 +63,6 @@ def deposit_moments_numpy(i0, frac, xi, w, n_cells, count):
     return out
 
 
-def gather_numpy(values, i0, frac):
+def gather(values, i0, frac):
     """Linear interpolation of a periodic grid field at cell indices."""
     return values[i0] * (1.0 - frac) + np.roll(values, -1)[i0] * frac
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def deposit_moments_numba(i0, frac, xi, w, n_cells, count):  # pragma: no cover - jit
-        out = np.zeros((count, n_cells))
-        for p in range(i0.shape[0]):
-            g = i0[p]
-            g1 = g + 1 if g + 1 < n_cells else 0
-            left = w[p] * (1.0 - frac[p])
-            right = w[p] * frac[p]
-            for k in range(count):
-                out[k, g] += left
-                out[k, g1] += right
-                left *= xi[p]
-                right *= xi[p]
-        return out
-
-    @njit(cache=True)
-    def gather_numba(values, i0, frac):  # pragma: no cover - jit
-        n_cells = values.shape[0]
-        out = np.empty(i0.shape[0])
-        for p in range(i0.shape[0]):
-            g = i0[p]
-            g1 = g + 1 if g + 1 < n_cells else 0
-            out[p] = values[g] * (1.0 - frac[p]) + values[g1] * frac[p]
-        return out
-
-    deposit_moments = deposit_moments_numba
-    gather = gather_numba
-else:
-    deposit_moments = deposit_moments_numpy
-    gather = gather_numpy

@@ -44,7 +44,7 @@ class ParticleEnsemble:
     def __post_init__(self):
         if self.x.ndim != 1 or not (self.x.shape == self.xi.shape == self.w.shape):
             raise KineticError("x, xi, w must be equal-length 1-D arrays")
-        if self.w.size and float(np.min(self.w)) <= 0.0:
+        if self.w.size and not float(np.min(self.w)) > 0.0:
             raise KineticError("weights must be positive")
 
     @property

@@ -183,6 +183,17 @@ def test_decay_study_rejects_bad_amplitudes(tmp_path, capsys, amplitudes):
     assert not (tmp_path / "decay_study.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
+def test_decay_study_rejects_bad_sim_threads(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("SIM_THREADS", threads)
+    cfg = write_cfg(tmp_path)
+    code = main(["decay-study", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "SIM_THREADS" in err[0]
+    assert not (tmp_path / "decay_study.csv").exists()
+
+
 def test_kinetic_compare_smoke(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

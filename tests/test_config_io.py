@@ -22,8 +22,9 @@ from dragflow.config import (
     save_config,
     to_dict,
 )
-from dragflow.dynamics import FluidParams
-from dragflow.grid import Grid
+from dragflow.dynamics import FluidParams, State
+from dragflow.functionals import Recorder
+from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import KINDS, InitSpec, generate_initial
 from dragflow.stepping import TimeConfig, run
 
@@ -377,6 +378,69 @@ def test_state_snapshot_roundtrip(tmp_path):
     assert np.array_equal(loaded.m, state.m)
     assert np.array_equal(loaded.n, state.n)
     assert np.array_equal(loaded.j, state.j)
+
+
+def random_state(dim, n, seed, amp):
+    """An admissible state: 1 + amp * (band-limited field) densities, amp-sized velocities."""
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return amp * random_band_limited(g, rng)
+
+    rho = 1.0 + field()
+    n_pert = field()
+    u = np.stack([field() for _ in range(dim)])
+    v = np.stack([field() for _ in range(dim)])
+    return State(g, rho, rho * u, n_pert, (1.0 + n_pert) * v)
+
+
+STATES = st.builds(
+    random_state,
+    dim=st.integers(1, 3),
+    n=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    amp=st.floats(1e-3, 0.1),
+)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    STATES,
+    st.floats(0.0, 1e3),
+    st.floats(1e-6, 1.0),
+    st.floats(1e-6, 1.0),
+    st.sampled_from([(), ("stop:blowup",), ("stop:vacuum_breach",)]),
+)
+def test_records_csv_round_trips_random_states(tmp_path_factory, state, t, h0, h1, stop):
+    g = state.grid
+    recorder = Recorder(g, FluidParams(gamma=2.0, mu=1.0, lam=0.0))
+    ev = recorder.evaluate(state)
+    records = [
+        recorder.record(t - h0, state, evaluation=ev),
+        recorder.record(t, state, window=((h0, ev), (h1, ev)), evaluation=ev),
+        recorder.record(t + h1, state, flags=stop, evaluation=ev),
+    ]
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    recordio.write_records(path, records, g.dim)
+    rows = recordio.read_records(path)
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert list(row) == recordio._columns(g.dim)
+        for name, want in zip(row, recordio.record_row(rec, g.dim)):
+            got = row[name]
+            assert got == want or (got != got and want != want), name  # nan matches nan
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(STATES, st.floats(0.0, 1e6))
+def test_state_snapshot_round_trips_random_states(tmp_path_factory, state, t):
+    directory = tmp_path_factory.mktemp("snapshot")
+    entries = recordio.write_state_snapshot(directory, state, t, "x")
+    index = recordio.write_snapshot_index(directory, entries, state.grid.dim, state.grid.n)
+    loaded = recordio.load_state(index, state.grid)
+    for name in ("rho", "m", "n", "j"):
+        assert np.array_equal(getattr(loaded, name), getattr(state, name)), name
 
 
 def test_from_snapshot_init(tmp_path):
