@@ -3,11 +3,16 @@ cloud-in-cell deposition of the first ``count`` velocity moments.
 
 ``cell_index`` gives each position its cell ``i0`` and offset ``frac`` in
 [0, 1); ``gather`` and ``deposit_moments`` take that pair, so a set of
-positions is indexed once however often it is read.  ``wrap`` is
-``a % TWO_PI`` bit for bit, computed with ``fmod`` at about a quarter of
-the cost.  All four are numpy, with one definition each.  To time the
-gather and the deposit per particle, run ``python3 perfbench/run.py
---workload kinetic1d --trace 1`` (``kernels.*.ns_per_particle``).
+positions is indexed once however often it is read.  ``wrap`` and
+``cell_index`` each have an exact fast form for the inputs a particle step
+makes, chosen by the range of their input and equal bit for bit to the
+general form: ``wrap`` folds positions within one period of [0, 2*pi) by one
+subtraction or addition of 2*pi, where anything else takes ``fmod``; and
+``cell_index`` truncates positions already in [0, 2*pi), where anything
+else takes ``floor`` and a remainder.  All four are numpy, with one
+definition each.  To time the gather and the deposit per particle, run
+``python3 perfbench/run.py --workload kinetic1d --trace 1``
+(``kernels.*.ns_per_particle``).
 
 ``HAVE_NUMBA`` is always False.  It stays because the benchmark reads it
 for its ``have_numba`` provenance field, and would fail to start without it.
@@ -23,7 +28,22 @@ HAVE_NUMBA = False
 
 
 def wrap(a):
-    """``a % TWO_PI``, bit for bit on finite input, computed with fmod."""
+    """``a % TWO_PI``, bit for bit on finite input.
+
+    On [-2*pi, 4*pi), where every push lands while dt*|xi| < 2*pi, one
+    subtraction or addition of 2*pi is exact and equals the remainder: on
+    [2*pi, 4*pi), a - 2*pi is exact (Sterbenz) and so is ``fmod``.  Other
+    input takes ``fmod``.
+    """
+    if a.size:
+        lo, hi = a.min(), a.max()
+        if -TWO_PI <= lo and hi < 2.0 * TWO_PI:
+            r = a + 0.0  # a copy, with -0.0 made +0.0 as with %
+            if hi >= TWO_PI:
+                np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
+            if lo < 0.0:
+                np.add(r, TWO_PI, out=r, where=r < 0.0)  # -2*pi + 2*pi is +0.0
+            return r
     r = np.fmod(a, TWO_PI)
     np.add(r, TWO_PI, out=r, where=r < 0.0)
     r += 0.0  # -0.0 (a negative multiple of 2*pi) becomes +0.0, as with %
@@ -34,6 +54,9 @@ def cell_index(x, dx, n_cells):
     """Cell ``i0`` (int64, in [0, n_cells)) and offset ``frac`` in [0, 1)
     of each position on the periodic grid of spacing ``dx``."""
     s = x / dx
+    if s.size and s.min() >= 0.0 and s.max() < n_cells:
+        i0 = s.astype(np.int64)  # truncation is floor for s >= 0
+        return i0, np.subtract(s, i0, out=s)
     i0 = np.floor(s)
     frac = np.subtract(s, i0, out=s)
     if i0.size and not (i0.min() >= 0.0 and i0.max() < n_cells):
@@ -65,4 +88,4 @@ def deposit_moments(i0, frac, xi, w, n_cells, count):
 
 def gather(values, i0, frac):
     """Linear interpolation of a periodic grid field at cell indices."""
-    return values[i0] * (1.0 - frac) + np.roll(values, -1)[i0] * frac
+    return values.take(i0) * (1.0 - frac) + np.roll(values, -1).take(i0) * frac

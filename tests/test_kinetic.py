@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dragflow import kernels, kinetic
 from dragflow.dynamics import FluidParams
@@ -31,6 +34,15 @@ def test_ensemble_validation():
         ParticleEnsemble(np.zeros(2), np.zeros(2), np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         ParticleEnsemble(np.zeros((2, 2)), np.zeros(4), np.ones(4))
+    # non-finite data: total_momentum would read nan, total_mass inf
+    for x, xi, w in (
+        ([1.0, 2.0], [0.5, np.nan], [1.0, 1.0]),
+        ([1.0, 2.0], [0.5, 0.5], [1.0, np.inf]),
+        ([1.0, np.inf], [0.5, 0.5], [1.0, 1.0]),
+        ([1.0, -np.inf], [0.5, 0.5], [1.0, 1.0]),
+    ):
+        with pytest.raises(kinetic.KineticError, match="finite"):
+            ParticleEnsemble(np.array(x), np.array(xi), np.array(w))
 
 
 # -- kernels ------------------------------------------------------------------
@@ -81,9 +93,76 @@ def test_wrap_is_remainder_bit_for_bit():
             [0.0, -0.0, below, -below, below - TWO_PI, 1e-300, -1e-300, -1e-17, 1e3, -1e3],
         ]
     )
+    # |a| up to 1e3 is outside one period of [0, 2 pi): the fmod form
     got = kernels.wrap(a)
     np.testing.assert_array_equal(got.view(np.int64), (a % TWO_PI).view(np.int64))
     assert np.all((got >= 0.0) & (got <= TWO_PI))
+    assert kernels.wrap(np.array([])).shape == (0,)
+
+
+# the edges of the one-period form: -2 pi, the signed zeros and tiny values,
+# 2 pi and the doubles next to it, and the largest double below 4 pi
+ONE_PERIOD_EDGES = [
+    -TWO_PI,
+    np.nextafter(-TWO_PI, 0.0),
+    -0.0,
+    0.0,
+    -1e-300,
+    1e-300,
+    np.nextafter(TWO_PI, 0.0),
+    TWO_PI,
+    np.nextafter(TWO_PI, 10.0),
+    np.nextafter(2.0 * TWO_PI, 0.0),
+]
+
+
+def _assert_wrap_is_remainder(a):
+    np.testing.assert_array_equal(kernels.wrap(a).view(np.int64), (a % TWO_PI).view(np.int64))
+
+
+def test_wrap_one_period_is_remainder_bit_for_bit():
+    rng = np.random.default_rng(6)
+    edges = np.array(ONE_PERIOD_EDGES)
+    _assert_wrap_is_remainder(np.concatenate([rng.uniform(-TWO_PI, 2.0 * TWO_PI, 20000), edges]))
+    # each sub-range alone: no fold, a subtraction only, an addition only
+    for keep in ((edges >= 0.0) & (edges < TWO_PI), edges >= 0.0, edges < TWO_PI):
+        _assert_wrap_is_remainder(edges[keep])
+    for e in edges:
+        _assert_wrap_is_remainder(np.array([e]))
+    # just outside the one-period range, alone, so nothing else picks the form
+    for e in (2.0 * TWO_PI, np.nextafter(-TWO_PI, -10.0)):
+        _assert_wrap_is_remainder(np.array([0.5, e]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 50),
+        elements=st.one_of(
+            st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True), st.sampled_from(ONE_PERIOD_EDGES)
+        ),
+    )
+)
+def test_wrap_one_period_is_remainder_hypothesis(a):
+    _assert_wrap_is_remainder(a)
+
+
+def test_cell_index_truncation_is_floor_on_in_range_positions():
+    rng = np.random.default_rng(8)
+    n_cells = 64
+    dx = TWO_PI / n_cells
+    edges = [0.0, 1e-300, dx, np.nextafter(dx, 0.0), np.nextafter(TWO_PI, 0.0)]
+    x = np.concatenate([rng.uniform(0.0, TWO_PI, 20000), edges])
+    i0, frac = kernels.cell_index(x, dx, n_cells)
+    s = x / dx
+    assert i0.dtype == np.int64
+    np.testing.assert_array_equal(i0, np.floor(s).astype(np.int64))
+    np.testing.assert_array_equal(frac.view(np.int64), (s - np.floor(s)).view(np.int64))
+    assert i0[-1] == n_cells - 1
+    # 2 pi alone is outside [0, 2 pi): the floor form wraps it to cell 0
+    i0, frac = kernels.cell_index(np.array([1.0, TWO_PI]), dx, n_cells)
+    assert i0[1] == 0 and frac[1] == 0.0
 
 
 def test_cell_index_wraps_any_finite_position():
@@ -189,6 +268,48 @@ def test_monokinetic_deposit_small_variance():
         gaps.append(closure_gap(moments, g).theta_mass)
     assert gaps[0] < 1e-3
     assert gaps[1] < 0.5 * gaps[0]
+
+
+def _sorted_quiet_start(grid, rho_values, u_values, n_particles):
+    """The quiet start in position order: positions from the inverse
+    cumulative mass of the 16-fold upsampled rho, velocities from u."""
+    n_fine = 16 * grid.n
+    rho_fine = np.fft.irfft(np.fft.rfft(rho_values), n_fine) * (n_fine / grid.n)
+    u_fine = np.fft.irfft(np.fft.rfft(u_values), n_fine) * (n_fine / grid.n)
+    dxf = TWO_PI / n_fine
+    x_fine = np.arange(n_fine + 1) * dxf
+    cdf = np.concatenate(([0.0], np.cumsum(rho_fine) * dxf))
+    targets = (np.arange(n_particles) + 0.5) / n_particles * cdf[-1]
+    x = np.interp(targets, cdf, x_fine) % TWO_PI
+    xi = np.interp(x, x_fine, np.concatenate((u_fine, u_fine[:1])))
+    w = np.full(n_particles, float(np.mean(rho_values)) * TWO_PI / n_particles)
+    return ParticleEnsemble(x, xi, w)
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 3, 5, 4001, 100_000])
+def test_monokinetic_quiet_start_interleaves_the_sorted_start(n_p):
+    g = Grid(1, 64)
+    x = g.coords()[0]
+    rho = 1.0 + 0.3 * np.cos(x)
+    u = 0.2 * np.sin(x)
+    ens = monokinetic_ensemble(g, rho, u, n_p)
+    ref = _sorted_quiet_start(g, rho, u, n_p)
+    # the same particles, each with the velocity it has in the sorted start
+    by_x = np.argsort(ens.x, kind="stable")
+    np.testing.assert_array_equal(ens.x[by_x], ref.x)
+    np.testing.assert_array_equal(ens.xi[by_x], ref.xi)
+    # listed quarter by quarter: sorted ranks 0, q, 2q, 3q, 1, q + 1, ...
+    q = -(-n_p // 4)
+    rank = np.empty(n_p, dtype=np.int64)
+    rank[by_x] = np.arange(n_p)
+    expected = [k * q + r for r in range(q) for k in range(4) if k * q + r < n_p]
+    np.testing.assert_array_equal(rank, expected)
+    assert ens.total_mass() == pytest.approx(ref.total_mass(), rel=1e-14)
+    # the reordered sums of the deposit agree with the sorted start's
+    got = kernels.deposit_moments(*kernels.cell_index(ens.x, g.dx, g.n), ens.xi, ens.w, g.n, 4)
+    want = kernels.deposit_moments(*kernels.cell_index(ref.x, g.dx, g.n), ref.xi, ref.w, g.n, 4)
+    for k in range(4):
+        np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-14 * np.max(np.abs(want[k])))
 
 
 def test_monokinetic_quiet_start_mass_and_density():
