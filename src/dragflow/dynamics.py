@@ -2,10 +2,11 @@
 
 The evolved state is conservative: particle density rho, particle momentum
 m = rho*u, fluid density perturbation n (the fluid density is 1+n, with
-mean(n) = 0), and fluid momentum j = (1+n)*v.  Primitive velocities are
-derived.  Quadratic and cubic products feeding flux divergences, the
-pressure, and the drag are dealiased with the 2/3 rule so that the
-semi-discrete conservation defects are pure round-off.
+mean(n) = 0), and fluid momentum j = (1+n)*v, kept in one stack laid out
+[n, j, rho, m], the layout of the rates ``rhs`` returns.  Primitive
+velocities are derived.  Quadratic and cubic products feeding flux
+divergences, the pressure, and the drag are dealiased with the 2/3 rule so
+that the semi-discrete conservation defects are pure round-off.
 
 The rates are assembled on the half spectrum of the grid's real
 transforms: ``rhs`` stacks every field and product it needs into one
@@ -15,7 +16,9 @@ transformed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,29 +57,73 @@ class FluidParams:
             )
 
 
-@dataclass
-class State:
-    """The four unknowns at one instant, sharing one grid."""
+def _field(rows):
+    """A State attribute for the stack rows ``rows(dim)``; assigning to it
+    writes into the stack and clears the state's primitives."""
 
-    grid: Grid
-    rho: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    j: np.ndarray
+    def get(self):
+        return self.y[rows(self.grid.dim)]
+
+    def put(self, value):
+        self.y[rows(self.grid.dim)] = value
+        self.primitives = None
+
+    return property(get, put)
+
+
+class State:
+    """The four unknowns at one instant, sharing one grid.
+
+    They live in one contiguous stack ``y`` of shape (2 + 2*dim,) +
+    grid.shape, laid out [n, j_1..j_d, rho, m_1..m_d]: the order in which
+    ``rhs`` returns the rates, so a Runge-Kutta stage is one scale-and-add
+    over the stack.  ``rho``, ``m``, ``n`` and ``j`` are views into it, and
+    assigning one writes into the stack.
+
+    ``primitives`` holds the state's ``Primitives`` when ``step`` made the
+    state, for its dt, its steepening guard and the first stage of the next
+    step; that stage drops them.  Writing into a view does not refresh them,
+    so a caller that changes a state ``step`` returned clears them first.
+    """
+
+    __slots__ = ("grid", "y", "primitives")
+
+    def __init__(self, grid: Grid, rho, m, n, j):
+        vshape = (grid.dim,) + grid.shape
+        if np.shape(rho) != grid.shape or np.shape(n) != grid.shape:
+            raise DynamicsError("scalar fields must match the grid shape")
+        if np.shape(m) != vshape or np.shape(j) != vshape:
+            raise DynamicsError("vector fields must have shape (dim,) + grid shape")
+        self.grid = grid
+        self.y = np.empty((2 + 2 * grid.dim,) + grid.shape)
+        self.primitives = None
+        self.n, self.j, self.rho, self.m = n, j, rho, m
+
+    @classmethod
+    def of(cls, grid: Grid, y: np.ndarray) -> "State":
+        """The state whose stack is ``y`` itself (no copy)."""
+        state = cls.__new__(cls)
+        state.grid, state.y, state.primitives = grid, y, None
+        return state
+
+    n = _field(lambda d: 0)
+    j = _field(lambda d: slice(1, 1 + d))
+    rho = _field(lambda d: 1 + d)
+    m = _field(lambda d: slice(2 + d, None))
 
     def copy(self) -> "State":
-        return State(self.grid, self.rho.copy(), self.m.copy(), self.n.copy(), self.j.copy())
+        return State.of(self.grid, self.y.copy())
+
+    def nonfinite(self) -> str | None:
+        """The first of rho, m, n, j holding a non-finite value, or None."""
+        if np.isfinite(self.y).all():
+            return None
+        return next(f for f in ("rho", "m", "n", "j") if not np.isfinite(getattr(self, f)).all())
 
     def validate(self) -> None:
-        g = self.grid
-        if self.rho.shape != g.shape or self.n.shape != g.shape:
-            raise DynamicsError("scalar fields must match the grid shape")
-        vshape = (g.dim,) + g.shape
-        if self.m.shape != vshape or self.j.shape != vshape:
-            raise DynamicsError("vector fields must have shape (dim,) + grid shape")
-        for name, f in (("rho", self.rho), ("m", self.m), ("n", self.n), ("j", self.j)):
-            if not np.all(np.isfinite(f)):
-                raise DynamicsError(f"non-finite values in {name}")
+        name = self.nonfinite()
+        if name is not None:
+            raise DynamicsError(f"non-finite values in {name}")
         if float(np.min(self.rho)) < 0.0:
             raise DynamicsError("rho must be nonnegative")
         if float(np.min(1.0 + self.n)) <= 0.0:
@@ -91,13 +138,14 @@ class State:
         return float(np.min(1.0 + self.n))
 
 
-@dataclass
-class StateRates:
-    d_rho: np.ndarray
-    d_m: np.ndarray
-    d_n: np.ndarray
-    d_j: np.ndarray
-    floor_active: bool = field(default=False)
+class Primitives(NamedTuple):
+    """What every use of a state derives first: the velocities u and v,
+    min(1+n), and whether min(rho) is below VACUUM_FLOOR."""
+
+    u: np.ndarray
+    v: np.ndarray
+    n1_min: float
+    floor: bool
 
 
 def pressure_minus_one(n: np.ndarray, gamma: float) -> np.ndarray:
@@ -113,35 +161,66 @@ def pressure_deviation(n: np.ndarray, gamma: float) -> np.ndarray:
 
 def primitive_velocity(density: np.ndarray, momentum: np.ndarray) -> tuple[np.ndarray, bool]:
     """momentum / max(density, VACUUM_FLOOR); flags whether the floor engaged."""
-    flagged = bool(np.min(density) < VACUUM_FLOOR)
-    return momentum / np.maximum(density, VACUUM_FLOOR)[None], flagged
+    low = float(density.min())
+    if not low >= VACUUM_FLOOR:  # the floor engages, or density holds a nan
+        density = np.maximum(density, VACUUM_FLOOR)
+    return momentum / density[None], low < VACUUM_FLOOR
 
 
-def _pairs(dim: int) -> list[tuple[int, int]]:
+def primitives(state: State) -> Primitives:
+    """The state's Primitives: the ones ``step`` left on it, or new ones."""
+    if state.primitives is not None:
+        return state.primitives
+    d, y = state.grid.dim, state.y
+    n1 = 1.0 + y[0]
+    u, floor = primitive_velocity(y[1 + d], y[2 + d :])
+    v, _ = primitive_velocity(n1, y[1 : 1 + d])
+    return Primitives(u, v, float(n1.min()), floor)
+
+
+@functools.cache
+def _pairs(dim: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (a, b) with a <= b: the distinct entries of a symmetric flux."""
-    return [(a, b) for a in range(dim) for b in range(a, dim)]
+    return tuple((a, b) for a in range(dim) for b in range(a, dim))
 
 
-def _flux_divergence(grid: Grid, flux_hat: np.ndarray, a: int) -> np.ndarray:
-    """Spectrum of -sum_b d_b F_ab, 2/3 rule folded in; flux_hat holds F's pairs."""
-    pairs = _pairs(grid.dim)
-    return -sum(
-        grid._ik_dealias[b] * flux_hat[pairs.index((min(a, b), max(a, b)))]
-        for b in range(grid.dim)
-    )
+class _Operators(NamedTuple):
+    """The Fourier multipliers of the rates for one (grid, params)."""
+
+    flux_index: tuple[tuple[int, ...], ...]  # [a][b]: where F_ab sits among the pairs
+    neg_ik_dealias: list[np.ndarray]  # -i k_a with the 2/3 rule: the pressure gradient
+    viscous: np.ndarray  # mu * (-|k|^2)
+    grad_div: list[np.ndarray]  # (mu + lam) * i k_a
+
+
+def _operators(grid: Grid, params: FluidParams) -> _Operators:
+    """Built at the first call for a (grid, params) and kept on the grid.
+    Each table is the left factor of a product the rates used to form per
+    call, so the rates are the same bit for bit."""
+    ops = grid._derived.get(params)
+    if ops is None:
+        d = grid.dim
+        pairs = _pairs(d)
+        ops = grid._derived[params] = _Operators(
+            tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
+            [-ik for ik in grid._ik_dealias],
+            params.mu * (-grid._k2),
+            [(params.mu + params.lam) * ik for ik in grid._ik],
+        )
+    return ops
+
+
+def _flux_divergence(grid: Grid, flux_hat: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
+    """Spectrum of -sum_b d_b F_ab, 2/3 rule folded in; flux_hat holds F's
+    pairs, and index[b] is where F_ab sits among them."""
+    return -sum(grid._ik_dealias[b] * flux_hat[i] for b, i in enumerate(index))
 
 
 def _fluid_stack(
     grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, gamma: float, extra: int = 0
 ) -> np.ndarray:
     """Physical fields of the fluid rates: j, v, p - 1 and the pairs j_a v_b,
-    followed by ``extra`` unfilled slots.
-
-    Raises NonPositiveDensity when min(1+n) <= 0, where the pressure is
-    undefined.
-    """
-    if float(np.min(1.0 + n)) <= 0.0:
-        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
+    followed by ``extra`` unfilled slots.  The caller checks min(1+n) > 0."""
     d = grid.dim
     pairs = _pairs(d)
     out = np.empty((2 * d + 1 + len(pairs) + extra,) + grid.shape)
@@ -151,9 +230,7 @@ def _fluid_stack(
     return out
 
 
-def _fluid_spectra(
-    grid: Grid, hat: np.ndarray, params: FluidParams, extra: int = 0
-) -> np.ndarray:
+def _fluid_spectra(grid: Grid, hat: np.ndarray, ops: _Operators, extra: int = 0) -> np.ndarray:
     """Spectra of d_n and d_j (drag-free) from a transformed ``_fluid_stack``,
     followed by ``extra`` unfilled slots."""
     d = grid.dim
@@ -164,92 +241,103 @@ def _fluid_spectra(
     div_v_hat = sum(grid._ik[a] * vhat[a] for a in range(d))
     for a in range(d):
         # pressure, viscous mu*lap(v) + (mu+lam)*grad(div v), then the j v flux
-        acc = -grid._ik_dealias[a] * p1hat
-        acc += params.mu * (-grid._k2) * vhat[a]
-        acc += (params.mu + params.lam) * grid._ik[a] * div_v_hat
-        acc += _flux_divergence(grid, flux_hat, a)
-        out[1 + a] = acc
+        acc = out[1 + a]
+        np.multiply(ops.neg_ik_dealias[a], p1hat, out=acc)
+        acc += ops.viscous * vhat[a]
+        acc += ops.grad_div[a] * div_v_hat
+        acc += _flux_divergence(grid, flux_hat, ops.flux_index[a])
     return out
 
 
 def fluid_rates(
     grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, params: FluidParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drag-free fluid rates (d_n, d_j), assembled in spectral space.
+) -> np.ndarray:
+    """Drag-free fluid rates stacked as [d_n, d_j_1..d_j_d], assembled in
+    spectral space.
 
     One forward transform call on the stacked fields and products, one
     inverse call on the stacked rates.  Raises NonPositiveDensity when
     min(1+n) <= 0, where the pressure is undefined.
     """
+    if float(np.min(1.0 + n)) <= 0.0:
+        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
     hat = grid._fft(_fluid_stack(grid, n, j, v, params.gamma))
-    rates = grid._ifft(_fluid_spectra(grid, hat, params))
-    return rates[0], rates[1:]
+    return grid._ifft(_fluid_spectra(grid, hat, _operators(grid, params)))
 
 
-def rhs(state: State, params: FluidParams) -> StateRates:
-    """Semi-discrete rates of the coupled system in conservative variables.
+def rhs(state: State, params: FluidParams) -> np.ndarray:
+    """Semi-discrete rates of the coupled system in conservative variables,
+    stacked as a state is: [d_n, d_j_1..d_j_d, d_rho, d_m_1..d_m_d].
 
     Every field and product the rates need is transformed in one forward
     call; the 2 + 2*dim rate spectra are assembled on the half spectrum and
-    brought back in one inverse call.
+    brought back in one inverse call.  The state's primitives are dropped
+    once read, so the ones ``step`` leaves on a state serve one stage.
+    Raises NonPositiveDensity when min(1+n) <= 0.
     """
     g = state.grid
-    d = g.dim
+    d, y = g.dim, state.y
+    ops = _operators(g, params)
     pairs = _pairs(d)
-    u, flag_u = primitive_velocity(state.rho, state.m)
-    v, _ = primitive_velocity(1.0 + state.n, state.j)
+    u, v, n1_min, _ = primitives(state)
+    state.primitives = None
+    if n1_min <= 0.0:
+        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
 
     # physical stack: the fluid fields, then m, the pairs m_a u_b and rho*(u - v)
     extra = d + len(pairs) + d * params.drag_on
-    phys = _fluid_stack(g, state.n, state.j, v, params.gamma, extra)
+    phys = _fluid_stack(g, y[0], y[1 : 1 + d], v, params.gamma, extra)
     m_at = len(phys) - extra
     drag_at = m_at + d + len(pairs)
-    phys[m_at : m_at + d] = state.m
+    m = y[2 + d :]
+    phys[m_at : m_at + d] = m
     for k, (a, b) in enumerate(pairs):
-        np.multiply(state.m[a], u[b], out=phys[m_at + d + k])
+        np.multiply(m[a], u[b], out=phys[m_at + d + k])
     if params.drag_on:
-        np.multiply(state.rho, u - v, out=phys[drag_at:])
+        np.multiply(y[1 + d], u - v, out=phys[drag_at:])
+    del u, v  # each work array is dropped once used: the 3-D transient footprint
     hat = g._fft(phys)
-    del phys  # each stack is dropped once used: the 3-D transient footprint
+    del phys
 
     # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
-    out = _fluid_spectra(g, hat, params, 1 + d)
+    out = _fluid_spectra(g, hat, ops, 1 + d)
     out[1 + d] = -sum(g._ik[a] * hat[m_at + a] for a in range(d))
     for a in range(d):
-        out[2 + d + a] = _flux_divergence(g, hat[m_at + d : drag_at], a)
+        out[2 + d + a] = _flux_divergence(g, hat[m_at + d : drag_at], ops.flux_index[a])
     if params.drag_on:
         # one dealiased array, applied with both signs
         drag_hat = g._dealias_keep * hat[drag_at:]
         out[2 + d :] -= drag_hat
         out[1 : 1 + d] += drag_hat
     del hat
-    rates = g._ifft(out)
-    return StateRates(
-        rates[1 + d], rates[2 + d :], rates[0], rates[1 : 1 + d], floor_active=flag_u
-    )
+    return g._ifft(out)
 
 
-def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
-    """Grid max of sqrt(gamma * (1+n)**(gamma-1))."""
-    n1_max = float(np.max(1.0 + n))
-    if float(np.min(1.0 + n)) <= 0.0:
+def _sound_speed(n1_min: float, n1_max: float, params: FluidParams) -> float:
+    """sqrt(gamma * n1_max**(gamma-1)), for min(1+n) = n1_min and max(1+n) = n1_max."""
+    if n1_min <= 0.0:
         raise NonPositiveDensity("sound speed undefined: min(1+n) <= 0")
     with np.errstate(over="ignore"):  # an overflow reads inf and stops the run
         return float(np.sqrt(params.gamma * np.power(n1_max, params.gamma - 1.0)))
 
 
+def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
+    """Grid max of sqrt(gamma * (1+n)**(gamma-1))."""
+    # 1 + max(n) is max(1 + n) bit for bit, because rounding is monotone
+    return _sound_speed(1.0 + float(np.min(n)), 1.0 + float(np.max(n)), params)
+
+
 def max_speed(state: State, params: FluidParams) -> float:
     """Fastest advective signal speed: max(|u|, |v|) + max sound speed."""
-    u, _ = primitive_velocity(state.rho, state.m)
-    v, _ = primitive_velocity(1.0 + state.n, state.j)
-    umax = float(np.max(np.sqrt(np.sum(u * u, axis=0))))
-    vmax = float(np.max(np.sqrt(np.sum(v * v, axis=0))))
-    return max(umax, vmax) + sound_speed_max(state.n, params)
+    u, v, n1_min, _ = primitives(state)
+    umax = float(np.sqrt((u * u).sum(axis=0)).max())
+    vmax = float(np.sqrt((v * v).sum(axis=0)).max())
+    return max(umax, vmax) + _sound_speed(n1_min, 1.0 + float(state.y[0].max()), params)
 
 
 def grad_velocity_max(state: State) -> float:
     """Grid max of the Frobenius norm of grad(u) (steepening monitor)."""
-    return gradient_norm_max(state.grid, primitive_velocity(state.rho, state.m)[0])
+    return gradient_norm_max(state.grid, primitives(state).u)
 
 
 def gradient_norm_max(grid: Grid, u: np.ndarray) -> float:

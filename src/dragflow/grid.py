@@ -98,6 +98,8 @@ class Grid:
         self._dealias_keep = self._box(n / 3.0)
         # derivative with the 2/3-rule truncation folded in (diagonal ops commute)
         self._ik_dealias = [ik * self._dealias_keep for ik in self._ik]
+        # tables other modules derive from these symbols, built at first use
+        self._derived: dict = {}
 
     def _lift(self, fhat: np.ndarray) -> np.ndarray:
         """Spectrum of the Bogovskii lift of a scalar field from its spectrum:

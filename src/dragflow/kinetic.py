@@ -42,12 +42,23 @@ class ParticleEnsemble:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim != 1 or not (self.x.shape == self.xi.shape == self.w.shape):
-            raise KineticError("x, xi, w must be equal-length 1-D arrays")
-        if not all(np.isfinite(a).all() for a in (self.x, self.xi, self.w)):
-            raise KineticError("x, xi, w must be finite")
+        self._check(self.x, self.xi, self.w)
         if self.w.size and not float(np.min(self.w)) > 0.0:
             raise KineticError("weights must be positive")
+
+    def _check(self, *arrays: np.ndarray) -> None:
+        if self.x.ndim != 1 or not (self.x.shape == self.xi.shape == self.w.shape):
+            raise KineticError("x, xi, w must be equal-length 1-D arrays")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise KineticError("x, xi, w must be finite")
+
+    def moved(self, x: np.ndarray, xi: np.ndarray) -> "ParticleEnsemble":
+        """The same particles at new positions and velocities.  The weights
+        are this ensemble's, already checked, so only x and xi are."""
+        ens = object.__new__(ParticleEnsemble)
+        ens.x, ens.xi, ens.w = x, xi, self.w
+        ens._check(x, xi)
+        return ens
 
     @property
     def size(self) -> int:
@@ -106,7 +117,7 @@ def push(
     v_mid = kernels.gather(v_values, *_cell(kernels.wrap(ens.x + 0.5 * dt * ens.xi), grid))
     x_new = kernels.wrap(ens.x + dt * xi_mid)
     xi_new = ens.xi + dt * (v_mid - xi_mid)
-    return ParticleEnsemble(x_new, xi_new, ens.w)
+    return ens.moved(x_new, xi_new)
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,8 @@ def monokinetic_ensemble(
         raise KineticError("particle solver is 1-D only")
     if float(np.min(rho_values)) <= 0.0:
         raise KineticError("quiet start requires strictly positive rho")
+    if n_particles < 1:
+        raise KineticError(f"n_particles must be at least 1, got {n_particles}")
     n_fine = 16 * grid.n
     rho_fine = np.fft.irfft(np.fft.rfft(rho_values), n_fine) * (n_fine / grid.n)
     u_fine = np.fft.irfft(np.fft.rfft(u_values), n_fine) * (n_fine / grid.n)
@@ -201,12 +214,14 @@ def kinetic_run(
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
     _pin_malloc_thresholds()
-    n = n0 - np.mean(n0)
-    j = j0.copy() if j0.ndim == 2 else j0[None].copy()  # vector layout (1, n)
+    # the fluid unknowns as one stack [n, j], the layout of fluid_rates' output
+    y = np.empty((2, grid.n))
+    y[0] = n0 - np.mean(n0)
+    y[1:] = j0
     t = 0.0
     steps = 0
     samples: list[KineticSample] = [
-        KineticSample(0.0, deposit(ens, grid), n.copy(), j.copy())
+        KineticSample(0.0, deposit(ens, grid), y[0].copy(), y[1:].copy())
     ]
     status = Status.COMPLETED
     t_end = cfg.t_end
@@ -217,8 +232,8 @@ def kinetic_run(
 
     while t < t_end - eps:
         try:
-            v = j[0] / (1.0 + n)
-            speed = float(np.max(np.abs(v))) + sound_speed_max(n, params)
+            v = y[1] / (1.0 + y[0])
+            speed = float(np.max(np.abs(v))) + sound_speed_max(y[0], params)
             if ens.size:
                 speed = max(speed, float(np.max(np.abs(ens.xi))))
             dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
@@ -228,33 +243,32 @@ def kinetic_run(
             # the drag reads mass and momentum only
             rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
-            def rates(y):
-                n_s, j_s = y
-                v_s = j_s / (1.0 + n_s)
-                d_n, d_j = fluid_rates(grid, n_s, j_s, v_s, params)
+            def rates(y_s):
+                v_s = y_s[1:] / (1.0 + y_s[0])
+                out = fluid_rates(grid, y_s[0], y_s[1:], v_s, params)
                 if params.drag_on:
-                    d_j += grid.dealias(m_dep - rho_dep * v_s[0])[None]
-                return d_n, d_j
+                    out[1] += grid.dealias(m_dep - rho_dep * v_s[0])
+                return out
 
-            n_new, j_new = _rk_advance((n, j), rates, dt, cfg.scheme)
-            n_new -= np.mean(n_new)
-            if not (np.all(np.isfinite(n_new)) and np.all(np.isfinite(j_new))):
+            y_new = _rk_advance(y, rates, dt, cfg.scheme)
+            y_new[0] -= np.mean(y_new[0])
+            if not np.isfinite(y_new).all():
                 raise BlowupError("non-finite fluid state in kinetic run")
-            if float(np.min(1.0 + n_new)) <= 0.0:
+            if float(np.min(1.0 + y_new[0])) <= 0.0:
                 raise FluidVacuumBreachError("fluid vacuum in kinetic run")
         except IntegrationError as err:
             status = err.status
             break
-        n, j = n_new, j_new
-        ens = push(half, j[0] / (1.0 + n), 0.5 * dt, grid, cell) if ens.size else half
+        y = y_new
+        ens = push(half, y[1] / (1.0 + y[0]), 0.5 * dt, grid, cell) if ens.size else half
         del half, cell
         cell = _cell(ens.x, grid)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:
-            samples.append(KineticSample(t, deposit(ens, grid, cell), n.copy(), j.copy()))
+            samples.append(KineticSample(t, deposit(ens, grid, cell), y[0].copy(), y[1:].copy()))
 
-    return KineticRunResult(ens, n, j, t, steps, samples, status)
+    return KineticRunResult(ens, y[0], y[1:], t, steps, samples, status)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .dynamics import (
     State,
     grad_velocity_max,
     max_speed,
+    primitives,
     rhs,
 )
 from .functionals import DiagnosticsRecord, Recorder
@@ -133,39 +134,47 @@ def cfl_dt(speed: float, dx: float, params: FluidParams, cfg: TimeConfig) -> flo
     return dt
 
 
-def _combine(base: tuple, rates: list[tuple[float, tuple]]) -> list:
-    out = [a.copy() for a in base]
-    for c, r in rates:
-        for a, d in zip(out, r):
-            a += c * d
-    return out
+def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> np.ndarray:
+    """One explicit Runge-Kutta step of y' = f(y) on one stacked array;
+    returns the advanced stack, newly allocated.  ``f`` is first called
+    with ``y`` itself.
 
-
-def _rk_advance(y: tuple, f, dt: float, scheme: str) -> list:
-    """One explicit Runge-Kutta step of y' = f(y) over a tuple of arrays;
-    returns the advanced arrays, newly allocated, in the same order.
-
+    A stage is one scale-and-add over the stack, (c * k) + y, and every sum
+    adds its terms to y from left to right.  The final sum scales the k's in
+    place, so it makes no temporary the size of the stack.
     A stage that leaves the fluid's admissible set (``NonPositiveDensity``
     from ``f``) raises FluidVacuumBreachError.
     """
+
+    def stage(*terms: tuple[float, np.ndarray]) -> np.ndarray:
+        (c, k), *rest = terms
+        out = k * c
+        out += y
+        for c, k in rest:
+            out += k * c
+        return out
+
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             if scheme == "rk4":
                 k1 = f(y)
-                k2 = f(_combine(y, [(0.5 * dt, k1)]))
-                k3 = f(_combine(y, [(0.5 * dt, k2)]))
-                k4 = f(_combine(y, [(dt, k3)]))
-                return _combine(
-                    y, [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)]
-                )
-            if scheme == "ssp_rk3":
+                k2 = f(stage((0.5 * dt, k1)))
+                k3 = f(stage((0.5 * dt, k2)))
+                k4 = f(stage((dt, k3)))
+                terms = ((dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4))
+            elif scheme == "ssp_rk3":
                 k1 = f(y)
-                k2 = f(_combine(y, [(dt, k1)]))
-                k3 = f(_combine(y, [(0.25 * dt, k1), (0.25 * dt, k2)]))
-                return _combine(
-                    y, [(dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3)]
-                )
-            raise ValueError(f"unknown scheme {scheme!r}")
+                k2 = f(stage((dt, k1)))
+                k3 = f(stage((0.25 * dt, k1), (0.25 * dt, k2)))
+                terms = ((dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3))
+            else:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            for c, k in terms:
+                k *= c
+            out = y + k1
+            for _, k in terms[1:]:
+                out += k
+            return out
     except NonPositiveDensity as err:
         raise FluidVacuumBreachError(str(err)) from err
 
@@ -181,31 +190,36 @@ def step(
 ) -> tuple[State, StepInfo]:
     """One explicit step; re-asserts invariants and re-projects mean(n).
 
-    Raises VacuumBreachError / FluidVacuumBreachError / BlowupError when
-    the advanced state leaves the admissible set.
+    The state it returns carries its Primitives, which its dt, its
+    steepening guard and the first stage of the next step read.  Raises
+    VacuumBreachError / FluidVacuumBreachError / BlowupError when the
+    advanced state leaves the admissible set.
     """
     g = state.grid
     info = StepInfo()
 
     def f(y):
-        rates = rhs(State(g, *y), params)
-        info.floor_active = info.floor_active or rates.floor_active
-        return rates.d_rho, rates.d_m, rates.d_n, rates.d_j
+        stage = state if y is state.y else State.of(g, y)
+        stage.primitives = primitives(stage)
+        info.floor_active = info.floor_active or stage.primitives.floor
+        return rhs(stage, params)
 
-    new = State(g, *_rk_advance((state.rho, state.m, state.n, state.j), f, dt, scheme))
+    new = State.of(g, _rk_advance(state.y, f, dt, scheme))
 
     # round-off guard: keep the conserved mean(n) at exactly zero
-    reproj = float(np.mean(new.n))
-    new.n -= reproj
+    reproj = float(new.y[0].mean())
+    new.y[0] -= reproj
     info.reprojection = abs(reproj)
 
-    for name, arr in (("rho", new.rho), ("m", new.m), ("n", new.n), ("j", new.j)):
-        if not np.all(np.isfinite(arr)):
-            raise BlowupError(f"non-finite values in {name}")
-    if new.min_rho() < VACUUM_FLOOR:
+    name = new.nonfinite()
+    if name is not None:
+        raise BlowupError(f"non-finite values in {name}")
+    prim = primitives(new)
+    if prim.floor:
         raise VacuumBreachError(f"min rho = {new.min_rho():.3e} below floor {VACUUM_FLOOR:g}")
-    if new.min_n1() <= 0.0:
-        raise FluidVacuumBreachError(f"min(1+n) = {new.min_n1():.3e}")
+    if prim.n1_min <= 0.0:
+        raise FluidVacuumBreachError(f"min(1+n) = {prim.n1_min:.3e}")
+    new.primitives = prim
     return new, info
 
 

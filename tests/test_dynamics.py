@@ -3,6 +3,8 @@
 The rhs is cross-checked against an independent second-order
 finite-difference discretization of the same continuum operators.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ from dragflow.initial import InitSpec, generate_initial
 
 def make_state(grid, rho, u, n, v):
     return State(grid, rho, rho[None] * u, n, (1.0 + n)[None] * v)
+
+
+def rates_of(state, params):
+    """rhs's rate stack, split into d_rho, d_m, d_n and d_j."""
+    r = State.of(state.grid, rhs(state, params))
+    return SimpleNamespace(d_rho=r.rho, d_m=r.m, d_n=r.n, d_j=r.j)
 
 
 def single_mode_state(grid, amp=0.05, phase_v=0.0):
@@ -94,7 +102,7 @@ def test_rhs_uniform_equilibrium():
     state = make_state(
         g, np.ones(g.shape), np.full((1,) + g.shape, c), g.zeros(), np.full((1,) + g.shape, c)
     )
-    rates = rhs(state, params)
+    rates = rates_of(state, params)
     for arr in (rates.d_rho, rates.d_m, rates.d_n, rates.d_j):
         assert np.max(np.abs(arr)) < 1e-13
 
@@ -106,7 +114,7 @@ def test_rhs_pure_drag():
     state = make_state(
         g, np.ones(g.shape), np.full((1,) + g.shape, a), g.zeros(), np.full((1,) + g.shape, b)
     )
-    rates = rhs(state, params)
+    rates = rates_of(state, params)
     assert np.max(np.abs(rates.d_rho)) < 1e-13
     assert np.max(np.abs(rates.d_n)) < 1e-13
     assert np.max(np.abs(rates.d_m + (a - b))) < 1e-12
@@ -155,7 +163,7 @@ def test_rhs_matches_finite_differences_at_second_order(dim):
     for n in (24, 48):
         g = Grid(dim, n)
         state = single_mode_state(g, amp=0.1)
-        spectral = rhs(state, params)
+        spectral = rates_of(state, params)
         fd = _fd_rhs(state, params)
         err = max(
             np.max(np.abs(spectral.d_rho - fd[0])),
@@ -189,7 +197,7 @@ def test_semi_discrete_conservation_on_random_states(dim, n):
         state = random_state(g, rng)
         for drag_on in (True, False):
             params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3, drag_on=drag_on)
-            rates = rhs(state, params)
+            rates = rates_of(state, params)
             scale = max(np.max(np.abs(rates.d_m)), np.max(np.abs(rates.d_j)), 1e-30)
             assert abs(np.mean(rates.d_rho)) < 1e-10 * scale
             assert abs(np.mean(rates.d_n)) < 1e-10 * scale
@@ -232,7 +240,7 @@ def test_rhs_matches_term_by_term_operators(dim, n, drag_on):
     rng = np.random.default_rng(dim)
     for _ in range(3):
         state = random_state(g, rng)
-        rates = rhs(state, params)
+        rates = rates_of(state, params)
         got = (rates.d_rho, rates.d_m, rates.d_n, rates.d_j)
         for name, a, b in zip(("d_rho", "d_m", "d_n", "d_j"), got, _operator_rhs(state, params)):
             assert a.shape == b.shape, name
@@ -265,8 +273,8 @@ def test_drag_antisymmetry():
     g = Grid(1, 64)
     params = FluidParams(gamma=2.0, mu=1.0)
     state = single_mode_state(g, amp=0.08, phase_v=0.9)
-    with_drag = rhs(state, params)
-    without = rhs(state, FluidParams(gamma=2.0, mu=1.0, drag_on=False))
+    with_drag = rates_of(state, params)
+    without = rates_of(state, FluidParams(gamma=2.0, mu=1.0, drag_on=False))
     drag_m = with_drag.d_m - without.d_m
     drag_j = with_drag.d_j - without.d_j
     scale = np.max(np.abs(without.d_j))
@@ -277,11 +285,11 @@ def test_drag_off_decouples_subsystems():
     g = Grid(1, 64)
     params = FluidParams(gamma=2.0, mu=1.0, drag_on=False)
     state = single_mode_state(g, amp=0.05)
-    base = rhs(state, params)
+    base = rates_of(state, params)
     perturbed = state.copy()
     perturbed.rho = perturbed.rho + 0.1 * np.cos(3 * g.coords()[0])
     perturbed.m = perturbed.m * 1.3
-    shifted = rhs(perturbed, params)
+    shifted = rates_of(perturbed, params)
     assert np.array_equal(base.d_n, shifted.d_n)
     assert np.array_equal(base.d_j, shifted.d_j)
 
@@ -293,7 +301,7 @@ def test_energy_balance_chain_rule():
     g = Grid(1, 64)
     params = FluidParams(gamma=2.0, mu=1.0)
     state = single_mode_state(g, amp=0.05, phase_v=0.4)
-    rates = rhs(state, params)
+    rates = rates_of(state, params)
     rho, m, n, j = state.rho, state.m, state.n, state.j
     dE = np.mean(
         2 * np.sum(m * rates.d_m, axis=0) / rho - np.sum(m * m, axis=0) / rho**2 * rates.d_rho

@@ -45,6 +45,23 @@ def test_ensemble_validation():
             ParticleEnsemble(np.array(x), np.array(xi), np.array(w))
 
 
+def test_moved_ensemble_checks_positions_and_velocities_only():
+    ens = ParticleEnsemble(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+    moved = ens.moved(np.array([1.5, 2.5]), np.array([0.4, 0.6]))
+    assert moved.w is ens.w
+    for x, xi in (([1.0, np.nan], [0.5, 0.5]), ([1.0, 2.0], [np.inf, 0.5])):
+        with pytest.raises(kinetic.KineticError, match="finite"):
+            ens.moved(np.array(x), np.array(xi))
+    with pytest.raises(kinetic.KineticError, match="equal-length"):
+        ens.moved(np.zeros(3), np.zeros(3))
+
+
+def test_monokinetic_ensemble_rejects_no_particles():
+    g = Grid(1, 16)
+    with pytest.raises(kinetic.KineticError, match="n_particles"):
+        monokinetic_ensemble(g, np.ones(g.shape), np.zeros(g.shape), 0)
+
+
 # -- kernels ------------------------------------------------------------------
 
 
@@ -400,6 +417,20 @@ def test_kinetic_run_conserves_total_momentum():
     p1 = res.ensemble.total_momentum() + float(np.sum(res.j[0])) * g.dx
     scale = ens.total_mass()
     assert abs(p1 - p0) / scale < 1e-6
+
+
+def test_kinetic_run_leaves_its_inputs_untouched():
+    g = Grid(1, 32)
+    spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.05, "u": 0.05, "n": 0.05, "v": 0.05})
+    state0 = generate_initial(spec, g)
+    ens = monokinetic_ensemble(g, state0.rho, state0.m[0] / state0.rho, 2000)
+    inputs = (state0.n, state0.j, ens.x, ens.xi, ens.w)
+    before = [a.tobytes() for a in inputs]
+    res = kinetic_run(ens, state0.n, state0.j, g, PARAMS, TimeConfig(t_end=0.02))
+    assert res.status == Status.COMPLETED and res.steps > 1
+    assert [a.tobytes() for a in inputs] == before
+    # the samples are copies, not views of the fluid state that moves on
+    assert not any(np.shares_memory(s.n, res.n) or np.shares_memory(s.j, res.j) for s in res.samples)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import dragflow.functionals as fn
-from dragflow.dynamics import FluidParams, State
-from dragflow.grid import Grid
+from dragflow.dynamics import FluidParams, State, grad_velocity_max, max_speed, rhs
+from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
 from dragflow.stepping import Status, TimeConfig, compute_dt, run, step
 
@@ -134,6 +134,100 @@ def test_scheme_order_by_richardson(scheme, expected_order):
         )
     ratio = errs[0] / errs[1]
     assert ratio > 2 ** (expected_order - 0.5)
+
+
+def random_state(dim, n, seed, amp=0.1):
+    """A band-limited admissible state with every field varying on every axis."""
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return amp * random_band_limited(g, rng)
+
+    rho = 1.0 + field()
+    u = np.stack([field() for _ in range(dim)])
+    n_pert = field()
+    v = np.stack([field() for _ in range(dim)])
+    return State(g, rho, rho[None] * u, n_pert, (1.0 + n_pert)[None] * v)
+
+
+def _per_field_step(fields, grid, params, dt, scheme):
+    """The integrator as it was on a tuple of fields (rho, m, n, j): each
+    stage and the final sum copy the fields, then add c * k field by field.
+    The oracle for the stacked integrator."""
+
+    def f(y):
+        r = State.of(grid, rhs(State(grid, *y), params))
+        return r.rho, r.m, r.n, r.j
+
+    def combine(base, terms):
+        out = [a.copy() for a in base]
+        for c, k in terms:
+            for a, d in zip(out, k):
+                a += c * d
+        return out
+
+    if scheme == "rk4":
+        k1 = f(fields)
+        k2 = f(combine(fields, [(0.5 * dt, k1)]))
+        k3 = f(combine(fields, [(0.5 * dt, k2)]))
+        k4 = f(combine(fields, [(dt, k3)]))
+        terms = [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)]
+    else:
+        k1 = f(fields)
+        k2 = f(combine(fields, [(dt, k1)]))
+        k3 = f(combine(fields, [(0.25 * dt, k1), (0.25 * dt, k2)]))
+        terms = [(dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3)]
+    new = combine(fields, terms)
+    new[2] -= float(np.mean(new[2]))
+    return tuple(new)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("drag_on", [True, False])
+def test_stacked_step_equals_the_per_field_integrator_bit_for_bit(dim, n, scheme, drag_on):
+    state = random_state(dim, n, seed=10 * dim + drag_on)
+    params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3, drag_on=drag_on)
+    dt = compute_dt(state, params, TimeConfig(t_end=1.0))
+    fields = (state.rho, state.m, state.n, state.j)
+    # the second step starts from the primitives the first one left
+    for _ in range(2):
+        state, _ = step(state, params, dt, scheme)
+        fields = _per_field_step(fields, state.grid, params, dt, scheme)
+        for name, got, want in zip(("rho", "m", "n", "j"), (state.rho, state.m, state.n, state.j), fields):
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+def test_shared_primitives_equal_a_fresh_evaluation(dim, n):
+    state = random_state(dim, n, seed=dim)
+    # a small advective CFL makes the signal speed set dt
+    cfg = TimeConfig(t_end=1.0, cfl_advective=0.01, dt_max=1.0)
+    new, _ = step(state, PARAMS, compute_dt(state, PARAMS, cfg))
+    assert new.primitives is not None
+    fresh = new.copy()
+    assert fresh.primitives is None
+    assert max_speed(new, PARAMS) == max_speed(fresh, PARAMS)
+    assert compute_dt(new, PARAMS, cfg) == compute_dt(fresh, PARAMS, cfg)
+    assert grad_velocity_max(new) == grad_velocity_max(fresh)
+    dt = compute_dt(fresh, PARAMS, cfg)
+    after_shared, _ = step(new, PARAMS, dt)
+    after_fresh, _ = step(fresh, PARAMS, dt)
+    assert after_shared.y.tobytes() == after_fresh.y.tobytes()
+    # the first stage drops what it used
+    assert new.primitives is None
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+def test_step_leaves_its_input_untouched(scheme):
+    state, _ = step(random_state(2, 16, seed=5), PARAMS, 1e-3, scheme)
+    before = state.y.copy()
+    new, _ = step(state, PARAMS, 1e-3, scheme)
+    assert state.y.tobytes() == before.tobytes()
+    assert not np.shares_memory(new.y, state.y)
+    for name in ("rho", "m", "n", "j"):
+        assert np.shares_memory(getattr(new, name), new.y), name
 
 
 def test_step_rejects_absurd_dt():
