@@ -17,6 +17,7 @@ transformed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,10 +149,13 @@ class Primitives(NamedTuple):
     floor: bool
 
 
-def pressure_minus_one(n: np.ndarray, gamma: float) -> np.ndarray:
+def pressure_minus_one(n: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(1+n)**gamma - 1, written into ``out`` when it is given."""
     # expm1/log1p keeps absolute error at the scale of the deviation,
     # which late-time balance residuals depend on.
-    return np.expm1(gamma * np.log1p(n))
+    out = np.log1p(n, out=out)
+    out *= gamma
+    return np.expm1(out, out=out)
 
 
 def pressure_deviation(n: np.ndarray, gamma: float) -> np.ndarray:
@@ -159,9 +163,13 @@ def pressure_deviation(n: np.ndarray, gamma: float) -> np.ndarray:
     return np.expm1(gamma * np.log1p(n)) - gamma * n
 
 
-def primitive_velocity(density: np.ndarray, momentum: np.ndarray) -> tuple[np.ndarray, bool]:
-    """momentum / max(density, VACUUM_FLOOR); flags whether the floor engaged."""
-    low = float(density.min())
+def primitive_velocity(
+    density: np.ndarray, momentum: np.ndarray, low: float | None = None
+) -> tuple[np.ndarray, bool]:
+    """momentum / max(density, VACUUM_FLOOR); flags whether the floor engaged.
+    ``low`` is min(density), when the caller already has it."""
+    if low is None:
+        low = float(density.min())
     if not low >= VACUUM_FLOOR:  # the floor engages, or density holds a nan
         density = np.maximum(density, VACUUM_FLOOR)
     return momentum / density[None], low < VACUUM_FLOOR
@@ -173,9 +181,10 @@ def primitives(state: State) -> Primitives:
         return state.primitives
     d, y = state.grid.dim, state.y
     n1 = 1.0 + y[0]
+    n1_min = float(n1.min())
     u, floor = primitive_velocity(y[1 + d], y[2 + d :])
-    v, _ = primitive_velocity(n1, y[1 : 1 + d])
-    return Primitives(u, v, float(n1.min()), floor)
+    v, _ = primitive_velocity(n1, y[1 : 1 + d], n1_min)
+    return Primitives(u, v, n1_min, floor)
 
 
 @functools.cache
@@ -188,21 +197,23 @@ class _Operators(NamedTuple):
     """The Fourier multipliers of the rates for one (grid, params)."""
 
     flux_index: tuple[tuple[int, ...], ...]  # [a][b]: where F_ab sits among the pairs
-    neg_ik_dealias: list[np.ndarray]  # -i k_a with the 2/3 rule: the pressure gradient
+    neg_ik: list[np.ndarray]  # -i k_a: the divergences of j and m
+    neg_ik_dealias: list[np.ndarray]  # -i k_a with the 2/3 rule: pressure and fluxes
     viscous: np.ndarray  # mu * (-|k|^2)
     grad_div: list[np.ndarray]  # (mu + lam) * i k_a
 
 
 def _operators(grid: Grid, params: FluidParams) -> _Operators:
     """Built at the first call for a (grid, params) and kept on the grid.
-    Each table is the left factor of a product the rates used to form per
-    call, so the rates are the same bit for bit."""
+    Each table is the left factor of a product the rates would otherwise
+    form per call; a negated table gives the negated product exactly."""
     ops = grid._derived.get(params)
     if ops is None:
         d = grid.dim
         pairs = _pairs(d)
         ops = grid._derived[params] = _Operators(
             tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
+            [-ik for ik in grid._ik],
             [-ik for ik in grid._ik_dealias],
             params.mu * (-grid._k2),
             [(params.mu + params.lam) * ik for ik in grid._ik],
@@ -210,10 +221,13 @@ def _operators(grid: Grid, params: FluidParams) -> _Operators:
     return ops
 
 
-def _flux_divergence(grid: Grid, flux_hat: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
-    """Spectrum of -sum_b d_b F_ab, 2/3 rule folded in; flux_hat holds F's
-    pairs, and index[b] is where F_ab sits among them."""
-    return -sum(grid._ik_dealias[b] * flux_hat[i] for b, i in enumerate(index))
+def _dot(ops: list[np.ndarray], fields: np.ndarray, rows, out: np.ndarray | None = None):
+    """sum_a ops[a] * fields[rows[a]], added from left to right into ``out``
+    (a new array when it is None).  With ops -i k_a it is minus a divergence."""
+    out = np.multiply(ops[0], fields[rows[0]], out=out)
+    for op, row in zip(ops[1:], rows[1:]):
+        out += op * fields[row]
+    return out
 
 
 def _fluid_stack(
@@ -224,7 +238,8 @@ def _fluid_stack(
     d = grid.dim
     pairs = _pairs(d)
     out = np.empty((2 * d + 1 + len(pairs) + extra,) + grid.shape)
-    out[:d], out[d : 2 * d], out[2 * d] = j, v, pressure_minus_one(n, gamma)
+    out[:d], out[d : 2 * d] = j, v
+    pressure_minus_one(n, gamma, out[2 * d])
     for k, (a, b) in enumerate(pairs):
         np.multiply(j[a], v[b], out=out[2 * d + 1 + k])
     return out
@@ -237,32 +252,48 @@ def _fluid_spectra(grid: Grid, hat: np.ndarray, ops: _Operators, extra: int = 0)
     jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
     flux_hat = hat[2 * d + 1 : 2 * d + 1 + len(_pairs(d))]
     out = np.empty((1 + d + extra,) + grid._half_shape, dtype=complex)
-    out[0] = -sum(grid._ik[a] * jhat[a] for a in range(d))
-    div_v_hat = sum(grid._ik[a] * vhat[a] for a in range(d))
+    _dot(ops.neg_ik, jhat, range(d), out[0])
+    div_v_hat = _dot(grid._ik, vhat, range(d))
     for a in range(d):
         # pressure, viscous mu*lap(v) + (mu+lam)*grad(div v), then the j v flux
         acc = out[1 + a]
         np.multiply(ops.neg_ik_dealias[a], p1hat, out=acc)
         acc += ops.viscous * vhat[a]
         acc += ops.grad_div[a] * div_v_hat
-        acc += _flux_divergence(grid, flux_hat, ops.flux_index[a])
+        # the flux sum is formed on its own, then added: in 2-D and 3-D,
+        # adding its terms into acc one by one would round differently
+        acc += _dot(ops.neg_ik_dealias, flux_hat, ops.flux_index[a])
     return out
 
 
 def fluid_rates(
-    grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, params: FluidParams
+    grid: Grid,
+    n: np.ndarray,
+    j: np.ndarray,
+    v: np.ndarray,
+    params: FluidParams,
+    drag: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Drag-free fluid rates stacked as [d_n, d_j_1..d_j_d], assembled in
-    spectral space.
+    """Fluid rates stacked as [d_n, d_j_1..d_j_d], assembled in spectral
+    space; ``drag`` is the force density on the fluid, added to d_j with the
+    2/3 rule, and without it the rates are drag-free.
 
-    One forward transform call on the stacked fields and products, one
-    inverse call on the stacked rates.  Raises NonPositiveDensity when
+    One forward transform call on the stacked fields, products and drag,
+    one inverse call on the stacked rates.  Raises NonPositiveDensity when
     min(1+n) <= 0, where the pressure is undefined.
     """
     if float(np.min(1.0 + n)) <= 0.0:
         raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
-    hat = grid._fft(_fluid_stack(grid, n, j, v, params.gamma))
-    return grid._ifft(_fluid_spectra(grid, hat, _operators(grid, params)))
+    d = grid.dim
+    extra = 0 if drag is None else d
+    phys = _fluid_stack(grid, n, j, v, params.gamma, extra)
+    if extra:
+        phys[-d:] = drag
+    hat = grid._fft(phys)
+    out = _fluid_spectra(grid, hat, _operators(grid, params))
+    if extra:
+        out[1:] += grid._dealias_keep * hat[-d:]
+    return grid._ifft(out)
 
 
 def rhs(state: State, params: FluidParams) -> np.ndarray:
@@ -301,9 +332,9 @@ def rhs(state: State, params: FluidParams) -> np.ndarray:
 
     # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
     out = _fluid_spectra(g, hat, ops, 1 + d)
-    out[1 + d] = -sum(g._ik[a] * hat[m_at + a] for a in range(d))
+    _dot(ops.neg_ik, hat[m_at : m_at + d], range(d), out[1 + d])
     for a in range(d):
-        out[2 + d + a] = _flux_divergence(g, hat[m_at + d : drag_at], ops.flux_index[a])
+        _dot(ops.neg_ik_dealias, hat[m_at + d : drag_at], ops.flux_index[a], out[2 + d + a])
     if params.drag_on:
         # one dealiased array, applied with both signs
         drag_hat = g._dealias_keep * hat[drag_at:]
@@ -317,8 +348,14 @@ def _sound_speed(n1_min: float, n1_max: float, params: FluidParams) -> float:
     """sqrt(gamma * n1_max**(gamma-1)), for min(1+n) = n1_min and max(1+n) = n1_max."""
     if n1_min <= 0.0:
         raise NonPositiveDensity("sound speed undefined: min(1+n) <= 0")
-    with np.errstate(over="ignore"):  # an overflow reads inf and stops the run
-        return float(np.sqrt(params.gamma * np.power(n1_max, params.gamma - 1.0)))
+    # np.power, not **: on some inputs the two differ in the last bit.  An
+    # overflow reads inf and stops the run; only a power that may overflow
+    # pays for the errstate that keeps it quiet
+    exponent = params.gamma - 1.0
+    if exponent * math.log(n1_max) < 700.0:
+        return math.sqrt(params.gamma * float(np.power(n1_max, exponent)))
+    with np.errstate(over="ignore"):
+        return math.sqrt(params.gamma * float(np.power(n1_max, exponent)))
 
 
 def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
@@ -330,8 +367,9 @@ def sound_speed_max(n: np.ndarray, params: FluidParams) -> float:
 def max_speed(state: State, params: FluidParams) -> float:
     """Fastest advective signal speed: max(|u|, |v|) + max sound speed."""
     u, v, n1_min, _ = primitives(state)
-    umax = float(np.sqrt((u * u).sum(axis=0)).max())
-    vmax = float(np.sqrt((v * v).sum(axis=0)).max())
+    # sqrt is monotone and correctly rounded: sqrt(max) is max(sqrt) exactly
+    umax = math.sqrt((u * u).sum(axis=0).max())
+    vmax = math.sqrt((v * v).sum(axis=0).max())
     return max(umax, vmax) + _sound_speed(n1_min, 1.0 + float(state.y[0].max()), params)
 
 
@@ -343,4 +381,4 @@ def grad_velocity_max(state: State) -> float:
 def gradient_norm_max(grid: Grid, u: np.ndarray) -> float:
     """Grid max of the Frobenius norm of grad(u) for a given velocity field."""
     grad = grid.gradient(u)
-    return float(np.sqrt(np.max(np.sum(grad * grad, axis=(0, 1)))))
+    return math.sqrt((grad * grad).sum(axis=(0, 1)).max())

@@ -24,6 +24,7 @@ from .dynamics import (
     FluidParams,
     NonPositiveDensity,
     State,
+    _dot,
     _fluid_stack,
     _pairs,
     gradient_norm_max,
@@ -111,12 +112,13 @@ class _Fields:
         d = g.dim
         self.state, self.params = state, params
         self.n1 = 1.0 + state.n
-        self.min_n1 = float(np.min(self.n1))
+        self.min_n1 = float(self.n1.min())
         if self.min_n1 <= 0.0:
             raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
+        self.n_bar = float(self.n1.max())
         self.av = av = averages(state)
         self.u, _ = primitive_velocity(state.rho, state.m)
-        self.v, _ = primitive_velocity(self.n1, state.j)
+        self.v, _ = primitive_velocity(self.n1, state.j, self.min_n1)
         bshape = (-1,) + (1,) * d
         du = self.u - av.m_c.reshape(bshape)
         dv = self.v - av.j_c.reshape(bshape)
@@ -150,7 +152,7 @@ class _Fields:
         )
 
         # |grad v|^2 and (div v)^2: d_b pairs with d_b to k_b^2
-        div_v_hat = sum(g._ik[a] * vhat[a] for a in range(d))
+        div_v_hat = _dot(g._ik, vhat, range(d))
         self.i1 = params.mu * float(g.inner(vhat, g._k2 * vhat).sum())
         self.i2 = (params.mu + params.lam) * float(g.inner(div_v_hat, div_v_hat))
         self.i3 = _mean(state.rho * _dot_sq(diff))
@@ -161,12 +163,13 @@ class _Fields:
             lift = g._lift(nhat)
             # (1+n) dv = j - j_c (1+n); the lifts have no k = 0 mode to meet j_c
             dv1 = jhat - av.j_c.reshape(bshape) * nhat
-            div_j = sum(g._ik[a] * jhat[a] for a in range(d))
-            # the Hessian of phi is d_b of the lift, symmetric like the flux
-            flux_hess = sum(
-                (1.0 if a == b else 2.0) * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
-                for k, (a, b) in enumerate(pairs)
-            )
+            div_j = _dot(g._ik, jhat, range(d))
+            # the Hessian of phi is d_b of the lift, symmetric like the flux;
+            # the first pair is (0, 0), of weight 1
+            flux_hess = g.inner(flux_hat[0], g._ik_dealias[0] * lift[0])
+            for k, (a, b) in enumerate(pairs[1:], start=1):
+                weight = 1.0 if a == b else 2.0
+                flux_hess += weight * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
             self.E_sigma -= 2.0 * sigma * float(g.inner(dv1, lift).sum())
             # I4-I10; grad v meets the Hessian as in I1, d_b with d_b to k_b^2
             extra = (
@@ -389,8 +392,8 @@ class DissipationDomination:
     rhs: float  # C_explicit * D
 
 
-def _domination(f: _Fields, n_bar: float) -> DissipationDomination:
-    rho_c = f.av.rho_c
+def _domination(f: _Fields) -> DissipationDomination:
+    rho_c, n_bar = f.av.rho_c, f.n_bar
     rho_bar = float(np.max(f.state.rho))
     c_expl = (2.0 / min(1.0, rho_c)) * max(
         1.0, 2.0 * (3.0 * (rho_c * n_bar + rho_bar) + n_bar) / f.params.mu
@@ -408,7 +411,7 @@ def dissipation_domination_check(
     C = 2/min(1, rho_c) * max(1, 2*(3*(rho_c*n_bar + rho_bar) + n_bar)/mu),
     with rho_bar = max rho and n_bar = max (1+n) over the grid.
     """
-    return _domination(_Fields(state, params), float(np.max(1.0 + state.n)))
+    return _domination(_Fields(state, params))
 
 
 def _energy_density(f: _Fields) -> tuple[float, tuple[float, float]]:
@@ -654,12 +657,10 @@ class Recorder:
         """Every scalar a record takes from ``state``.  ``grad_u_max`` is the
         state's ``grad_velocity_max`` when the caller has it already."""
         params = self.params
-        n_bar = float(np.max(1.0 + state.n))
-        bounds = _bounds_above(n_bar, params.gamma)
         if self.sigma is None:
             self.sigma = self._sigma_override
             if self.sigma is None:
-                self.sigma = _sigma_default(n_bar, bounds)
+                self.sigma = sigma_default(state, params)
         f = _Fields(state, params, self.sigma)
         if self.averages0 is None:
             self.averages0, self._target, self.e0 = f.av, alignment_target(f.av), f.E
@@ -692,8 +693,9 @@ class Recorder:
         )
 
         jc = _jc_bounds(f, self.e0)
-        dom = _domination(f, n_bar)
-        c1, c2 = _equivalence(f.av.rho_c, n_bar, bounds, self.sigma)
+        dom = _domination(f)
+        bounds = _bounds_above(f.n_bar, params.gamma)
+        c1, c2 = _equivalence(f.av.rho_c, f.n_bar, bounds, self.sigma)
         checks = {
             "jc_momentum_slack": jc.slack_momentum,
             "jc_rate_slack": jc.slack_rate,

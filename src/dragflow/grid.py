@@ -177,7 +177,11 @@ class Grid:
         and one inverse transform call.
         """
         fhat = self._fft(f)
-        return self._ifft(np.stack([fhat * ik for ik in self._ik], axis=-self.dim - 1))
+        out = np.empty(fhat.shape[: -self.dim] + (self.dim,) + self._half_shape, dtype=complex)
+        grid_axes = (slice(None),) * self.dim
+        for a, ik in enumerate(self._ik):
+            np.multiply(fhat, ik, out=out[(Ellipsis, a) + grid_axes])
+        return self._ifft(out)
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
         vhat = self._fft(v)

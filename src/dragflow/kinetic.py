@@ -206,7 +206,7 @@ def kinetic_run(
     frozen deposited moments, half push with the updated fluid velocity.
 
     The fluid step is ``cfg.scheme`` on (n, j) with the deposited drag
-    dealias(m_dep - rho_dep * v) as a source.  With an empty ensemble this
+    m_dep - rho_dep * v, dealiased, as a source.  With an empty ensemble this
     reduces to the plain compressible solver.  A step that leaves the
     admissible set ends the run early: the result holds the last good state
     and the stop status.
@@ -229,26 +229,26 @@ def kinetic_run(
     # each position set is indexed once (half's index serves the deposit and
     # the second half-push), and an index is dropped after its last use
     cell = _cell(ens.x, grid)
+    # the fluid velocity of y, made once per step: it sets dt, drives the
+    # pushes on either side of the fluid step and serves its first stage
+    v = y[1:] / (1.0 + y[0])
 
     while t < t_end - eps:
         try:
-            v = y[1] / (1.0 + y[0])
             speed = float(np.max(np.abs(v))) + sound_speed_max(y[0], params)
             if ens.size:
                 speed = max(speed, float(np.max(np.abs(ens.xi))))
             dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
 
-            half = push(ens, v, 0.5 * dt, grid, cell) if ens.size else ens
+            half = push(ens, v[0], 0.5 * dt, grid, cell) if ens.size else ens
             cell = _cell(half.x, grid)
             # the drag reads mass and momentum only
             rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
             def rates(y_s):
-                v_s = y_s[1:] / (1.0 + y_s[0])
-                out = fluid_rates(grid, y_s[0], y_s[1:], v_s, params)
-                if params.drag_on:
-                    out[1] += grid.dealias(m_dep - rho_dep * v_s[0])
-                return out
+                v_s = v if y_s is y else y_s[1:] / (1.0 + y_s[0])
+                drag = m_dep - rho_dep * v_s if params.drag_on else None
+                return fluid_rates(grid, y_s[0], y_s[1:], v_s, params, drag)
 
             y_new = _rk_advance(y, rates, dt, cfg.scheme)
             y_new[0] -= np.mean(y_new[0])
@@ -260,7 +260,8 @@ def kinetic_run(
             status = err.status
             break
         y = y_new
-        ens = push(half, y[1] / (1.0 + y[0]), 0.5 * dt, grid, cell) if ens.size else half
+        v = y[1:] / (1.0 + y[0])
+        ens = push(half, v[0], 0.5 * dt, grid, cell) if ens.size else half
         del half, cell
         cell = _cell(ens.x, grid)
         t += dt

@@ -3,6 +3,8 @@
 The rhs is cross-checked against an independent second-order
 finite-difference discretization of the same continuum operators.
 """
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,8 @@ from dragflow.dynamics import (
     FluidParams,
     NonPositiveDensity,
     State,
+    fluid_rates,
+    grad_velocity_max,
     pressure_minus_one,
     primitive_velocity,
     rhs,
@@ -20,6 +24,7 @@ from dragflow.dynamics import (
 )
 from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
+from dragflow.stepping import TimeConfig, _rk_advance, cfl_dt, compute_dt, step
 
 
 def make_state(grid, rho, u, n, v):
@@ -266,6 +271,26 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     # m, j, v, p - 1, the pairs m_a u_b and j_a v_b, rho*(u - v); then the 2 + 2*dim rates
     assert calls == [("forward", 4 * dim + 1 + 2 * pairs), ("inverse", 2 + 2 * dim)]
 
+    # the fluid rates with a drag row, as a kinetic stage makes them
+    calls.clear()
+    v = state.j / (1.0 + state.n)
+    fluid_rates(g, state.n, state.j, v, FluidParams(gamma=1.4, mu=0.5), state.rho * v)
+    # j, v, p - 1, the pairs j_a v_b, the drag; then the 1 + dim rates
+    assert calls == [("forward", 3 * dim + 1 + pairs), ("inverse", 1 + dim)]
+
+
+def test_fluid_rates_with_a_drag_row_add_the_dealiased_drag():
+    g = Grid(1, 64)
+    params = FluidParams(gamma=1.4, mu=0.5)
+    state = random_state(g, np.random.default_rng(5))
+    v = state.j / (1.0 + state.n)
+    drag = state.rho * (state.m / state.rho - v)
+    with_drag = fluid_rates(g, state.n, state.j, v, params, drag)
+    without = fluid_rates(g, state.n, state.j, v, params)
+    assert np.array_equal(with_drag[0], without[0])
+    want = without[1:] + g.dealias(drag)
+    assert np.max(np.abs(with_drag[1:] - want)) < 1e-14 * np.max(np.abs(want))
+
 
 def test_drag_antisymmetry():
     # one array is applied with both signs; reconstructing it by
@@ -331,6 +356,141 @@ def test_sound_speed_max():
     assert sound_speed_max(state_n.n, FluidParams(gamma=2.0, mu=1.0)) == pytest.approx(
         np.sqrt(2.0 * np.max(1 + state_n.n)), rel=1e-12
     )
+
+
+# -- the seeded-sum oracle --------------------------------------------------
+# The rates, step, dt and steepening guard assembled as Python's ``sum``
+# builds them: each divergence seeded with 0 and then negated, the pressure
+# and the rate rows made as new arrays and copied, the velocity norms and
+# the sound speed taken on arrays.  The solver accumulates in place from
+# pre-negated operators instead, with every product and sum kept in the same
+# association, so the two must agree bit for bit.
+
+
+def _seeded_velocities(y, d):
+    return y[2 + d :] / np.maximum(y[1 + d], dyn.VACUUM_FLOOR)[None], y[1 : 1 + d] / (1.0 + y[0])[None]
+
+
+def _seeded_rhs(state, params):
+    g = state.grid
+    d, y = g.dim, state.y
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    u, v = _seeded_velocities(y, d)
+    n, j, rho, m = y[0], y[1 : 1 + d], y[1 + d], y[2 + d :]
+    phys = [*j, *v, np.expm1(params.gamma * np.log1p(n))]
+    phys += [j[a] * v[b] for a, b in pairs] + [*m] + [m[a] * u[b] for a, b in pairs]
+    if params.drag_on:
+        phys += [*(rho * (u - v))]
+    hat = g._fft(np.array(phys))
+    jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
+    at = 2 * d + 1 + len(pairs)
+    jv_hat, mhat = hat[2 * d + 1 : at], hat[at : at + d]
+    mu_hat, drag_hat = hat[at + d : at + d + len(pairs)], hat[at + d + len(pairs) :]
+
+    def flux_divergence(flux_hat, a):
+        return -sum(g._ik_dealias[b] * flux_hat[pairs.index((min(a, b), max(a, b)))] for b in range(d))
+
+    div_v_hat = sum(g._ik[a] * vhat[a] for a in range(d))
+    d_j = []
+    for a in range(d):
+        acc = (-g._ik_dealias[a]) * p1hat
+        acc += (params.mu * (-g._k2)) * vhat[a]
+        acc += ((params.mu + params.lam) * g._ik[a]) * div_v_hat
+        acc += flux_divergence(jv_hat, a)
+        d_j.append(acc)
+    d_m = [flux_divergence(mu_hat, a) for a in range(d)]
+    out = np.array(
+        [-sum(g._ik[a] * jhat[a] for a in range(d)), *d_j]
+        + [-sum(g._ik[a] * mhat[a] for a in range(d)), *d_m]
+    )
+    if params.drag_on:
+        drag = g._dealias_keep * drag_hat
+        out[2 + d :] -= drag
+        out[1 : 1 + d] += drag
+    return g._ifft(out)
+
+
+def _seeded_step(state, params, dt, scheme):
+    g = state.grid
+    y = _rk_advance(state.y, lambda y_s: _seeded_rhs(State.of(g, y_s), params), dt, scheme)
+    reproj = float(y[0].mean())
+    y[0] -= reproj
+    return y, abs(reproj)
+
+
+def _seeded_max_speed(state, params):
+    u, v = _seeded_velocities(state.y, state.grid.dim)
+    umax = float(np.sqrt((u * u).sum(axis=0)).max())
+    vmax = float(np.sqrt((v * v).sum(axis=0)).max())
+    n1_max = 1.0 + float(state.y[0].max())
+    with np.errstate(over="ignore"):
+        sound = float(np.sqrt(params.gamma * np.power(n1_max, params.gamma - 1.0)))
+    return max(umax, vmax) + sound
+
+
+def _seeded_grad_velocity_max(state):
+    g = state.grid
+    u, _ = _seeded_velocities(state.y, g.dim)
+    fhat = g._fft(u)
+    grad = g._ifft(np.stack([fhat * ik for ik in g._ik], axis=-g.dim - 1))
+    return float(np.sqrt(np.max(np.sum(grad * grad, axis=(0, 1)))))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("drag_on", [True, False])
+@pytest.mark.parametrize("lam", [0.0, -0.3])
+def test_in_place_assembly_equals_the_seeded_sums_bit_for_bit(dim, n, drag_on, lam):
+    g = Grid(dim, n)
+    params = FluidParams(gamma=1.4, mu=0.5, lam=lam, drag_on=drag_on)
+    cfg = TimeConfig(t_end=1.0)
+    rng = np.random.default_rng(10 * dim + n)
+    for _ in range(2):
+        state = random_state(g, rng)
+        assert _bits(rhs(state.copy(), params)) == _bits(_seeded_rhs(state, params))
+        # dt is at the diffusive limit here, so the speed is compared on its own
+        assert _bits(dyn.max_speed(state.copy(), params)) == _bits(_seeded_max_speed(state, params))
+        assert _bits(compute_dt(state.copy(), params, cfg)) == _bits(
+            cfl_dt(_seeded_max_speed(state, params), g.dx, params, cfg)
+        )
+        assert _bits(grad_velocity_max(state.copy())) == _bits(_seeded_grad_velocity_max(state))
+        for scheme in ("rk4", "ssp_rk3"):
+            dt = 0.5 * compute_dt(state, params, cfg)
+            new, info = step(state, params, dt, scheme)
+            want, reproj = _seeded_step(state, params, dt, scheme)
+            assert _bits(new.y) == _bits(want), scheme
+            assert _bits(info.reprojection) == _bits(reproj), scheme
+            # the stepped state carries its primitives into dt and the guard
+            want_state = State.of(g, want)
+            assert _bits(dyn.max_speed(new, params)) == _bits(_seeded_max_speed(want_state, params))
+            assert _bits(compute_dt(new, params, cfg)) == _bits(
+                cfl_dt(_seeded_max_speed(want_state, params), g.dx, params, cfg)
+            )
+            assert _bits(grad_velocity_max(new)) == _bits(_seeded_grad_velocity_max(want_state))
+
+
+def test_sound_speed_equals_the_numpy_power_bit_for_bit():
+    n1_maxes = np.concatenate((np.linspace(0.01, 3.0, 61), [0.5, 1.0, 1.0 + 1e-12, 2.0, 1e3]))
+    for gamma in (1.0 + 1e-9, 1.4, 5.0 / 3.0, 2.0, 3.7, 50.0, 700.0, 1e6):
+        params = FluidParams(gamma=gamma, mu=1.0)
+        for n1_max in n1_maxes.tolist():
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.sqrt(gamma * np.power(n1_max, gamma - 1.0))
+            got = dyn._sound_speed(0.5, n1_max, params)
+            assert _bits(got) == _bits(want), (gamma, n1_max)
+
+
+def test_sound_speed_overflow_reads_inf_without_a_warning():
+    # (1.05)**(1e6 - 1) overflows a double; the run stops on the inf, and
+    # nothing is printed along the way
+    params = FluidParams(gamma=1e6, mu=1.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert dyn._sound_speed(1.0, 1.05, params) == math.inf
+        assert sound_speed_max(np.array([-0.05, 0.05]), params) == math.inf
 
 
 def test_state_validation():
