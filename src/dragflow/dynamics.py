@@ -207,17 +207,21 @@ def _operators(grid: Grid, params: FluidParams) -> _Operators:
     """Built at the first call for a (grid, params) and kept on the grid.
     Each table is the left factor of a product the rates would otherwise
     form per call; a negated table gives the negated product exactly."""
-    ops = grid._derived.get(params)
-    if ops is None:
-        d = grid.dim
-        pairs = _pairs(d)
-        ops = grid._derived[params] = _Operators(
-            tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
-            [-ik for ik in grid._ik],
-            [-ik for ik in grid._ik_dealias],
-            params.mu * (-grid._k2),
-            [(params.mu + params.lam) * ik for ik in grid._ik],
-        )
+    # keyed by identity, so a hit runs no Python-level __hash__/__eq__; the
+    # entry holds params, so its id cannot pass to another object
+    entry = grid._derived.get(id(params))
+    if entry is not None:
+        return entry[1]
+    d = grid.dim
+    pairs = _pairs(d)
+    ops = _Operators(
+        tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
+        [-ik for ik in grid._ik],
+        [-ik for ik in grid._ik_dealias],
+        params.mu * (-grid._k2),
+        [(params.mu + params.lam) * ik for ik in grid._ik],
+    )
+    grid._derived[id(params)] = (params, ops)
     return ops
 
 
@@ -231,26 +235,38 @@ def _dot(ops: list[np.ndarray], fields: np.ndarray, rows, out: np.ndarray | None
 
 
 def _fluid_stack(
-    grid: Grid, n: np.ndarray, j: np.ndarray, v: np.ndarray, gamma: float, extra: int = 0
+    grid: Grid,
+    n: np.ndarray,
+    j: np.ndarray,
+    v: np.ndarray,
+    gamma: float,
+    extra: int = 0,
+    mid: int = 0,
 ) -> np.ndarray:
-    """Physical fields of the fluid rates: j, v, p - 1 and the pairs j_a v_b,
-    followed by ``extra`` unfilled slots.  The caller checks min(1+n) > 0."""
+    """Physical fields of the fluid rates: j, v, ``mid`` unfilled slots,
+    then p - 1 and the pairs j_a v_b, followed by ``extra`` unfilled slots.
+    The rates read the rows from p - 1 on only through the 2/3 rule.  The
+    caller checks min(1+n) > 0."""
     d = grid.dim
     pairs = _pairs(d)
-    out = np.empty((2 * d + 1 + len(pairs) + extra,) + grid.shape)
+    p_at = 2 * d + mid
+    out = np.empty((p_at + 1 + len(pairs) + extra,) + grid.shape)
     out[:d], out[d : 2 * d] = j, v
-    pressure_minus_one(n, gamma, out[2 * d])
+    pressure_minus_one(n, gamma, out[p_at])
     for k, (a, b) in enumerate(pairs):
-        np.multiply(j[a], v[b], out=out[2 * d + 1 + k])
+        np.multiply(j[a], v[b], out=out[p_at + 1 + k])
     return out
 
 
-def _fluid_spectra(grid: Grid, hat: np.ndarray, ops: _Operators, extra: int = 0) -> np.ndarray:
-    """Spectra of d_n and d_j (drag-free) from a transformed ``_fluid_stack``,
-    followed by ``extra`` unfilled slots."""
+def _fluid_spectra(
+    grid: Grid, hat: np.ndarray, ops: _Operators, extra: int = 0, mid: int = 0
+) -> np.ndarray:
+    """Spectra of d_n and d_j (drag-free) from a transformed ``_fluid_stack``
+    with ``mid`` slots, followed by ``extra`` unfilled slots."""
     d = grid.dim
-    jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
-    flux_hat = hat[2 * d + 1 : 2 * d + 1 + len(_pairs(d))]
+    p_at = 2 * d + mid
+    jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[p_at]
+    flux_hat = hat[p_at + 1 : p_at + 1 + len(_pairs(d))]
     out = np.empty((1 + d + extra,) + grid._half_shape, dtype=complex)
     _dot(ops.neg_ik, jhat, range(d), out[0])
     div_v_hat = _dot(grid._ik, vhat, range(d))
@@ -279,8 +295,9 @@ def fluid_rates(
     2/3 rule, and without it the rates are drag-free.
 
     One forward transform call on the stacked fields, products and drag,
-    one inverse call on the stacked rates.  Raises NonPositiveDensity when
-    min(1+n) <= 0, where the pressure is undefined.
+    with the rows from p - 1 on transformed only as far as the 2/3 rule
+    reads them, and one inverse call on the stacked rates.  Raises
+    NonPositiveDensity when min(1+n) <= 0, where the pressure is undefined.
     """
     if float(np.min(1.0 + n)) <= 0.0:
         raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
@@ -289,7 +306,7 @@ def fluid_rates(
     phys = _fluid_stack(grid, n, j, v, params.gamma, extra)
     if extra:
         phys[-d:] = drag
-    hat = grid._fft(phys)
+    hat = grid._fft(phys, 2 * d)
     out = _fluid_spectra(grid, hat, _operators(grid, params))
     if extra:
         out[1:] += grid._dealias_keep * hat[-d:]
@@ -301,9 +318,11 @@ def rhs(state: State, params: FluidParams) -> np.ndarray:
     stacked as a state is: [d_n, d_j_1..d_j_d, d_rho, d_m_1..d_m_d].
 
     Every field and product the rates need is transformed in one forward
-    call; the 2 + 2*dim rate spectra are assembled on the half spectrum and
-    brought back in one inverse call.  The state's primitives are dropped
-    once read, so the ones ``step`` leaves on a state serve one stage.
+    call, the ones read only through the 2/3 rule (the pressure, the fluxes
+    and the drag) as band rows; the 2 + 2*dim rate spectra are assembled on
+    the half spectrum and brought back in one inverse call.  The state's
+    primitives are dropped once read, so the ones ``step`` leaves on a
+    state serve one stage.
     Raises NonPositiveDensity when min(1+n) <= 0.
     """
     g = state.grid
@@ -315,26 +334,27 @@ def rhs(state: State, params: FluidParams) -> np.ndarray:
     if n1_min <= 0.0:
         raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
 
-    # physical stack: the fluid fields, then m, the pairs m_a u_b and rho*(u - v)
-    extra = d + len(pairs) + d * params.drag_on
-    phys = _fluid_stack(g, y[0], y[1 : 1 + d], v, params.gamma, extra)
-    m_at = len(phys) - extra
-    drag_at = m_at + d + len(pairs)
+    # physical stack, the rows read in full first: j, v, m, then p - 1, the
+    # pairs j_a v_b, the pairs m_a u_b and rho*(u - v)
+    band, extra = 3 * d, len(pairs) + d * params.drag_on
+    phys = _fluid_stack(g, y[0], y[1 : 1 + d], v, params.gamma, extra, d)
+    flux_at = band + 1 + len(pairs)
+    drag_at = flux_at + len(pairs)
     m = y[2 + d :]
-    phys[m_at : m_at + d] = m
+    phys[2 * d : band] = m
     for k, (a, b) in enumerate(pairs):
-        np.multiply(m[a], u[b], out=phys[m_at + d + k])
+        np.multiply(m[a], u[b], out=phys[flux_at + k])
     if params.drag_on:
         np.multiply(y[1 + d], u - v, out=phys[drag_at:])
     del u, v  # each work array is dropped once used: the 3-D transient footprint
-    hat = g._fft(phys)
+    hat = g._fft(phys, band)
     del phys
 
     # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
-    out = _fluid_spectra(g, hat, ops, 1 + d)
-    _dot(ops.neg_ik, hat[m_at : m_at + d], range(d), out[1 + d])
+    out = _fluid_spectra(g, hat, ops, 1 + d, d)
+    _dot(ops.neg_ik, hat[2 * d : band], range(d), out[1 + d])
     for a in range(d):
-        _dot(ops.neg_ik_dealias, hat[m_at + d : drag_at], ops.flux_index[a], out[2 + d + a])
+        _dot(ops.neg_ik_dealias, hat[flux_at:drag_at], ops.flux_index[a], out[2 + d + a])
     if params.drag_on:
         # one dealiased array, applied with both signs
         drag_hat = g._dealias_keep * hat[drag_at:]

@@ -10,7 +10,10 @@ Every field is real, so the transforms are real-to-complex: a spectrum
 is the half spectrum of ``rfftn`` (the last axis holds k >= 0 only), and
 the Fourier symbols are built once on it.  Both transforms accept a stack
 of fields with leading axes, so a caller transforms everything it needs
-in one call each way.
+in one call each way.  A caller that reads the rows of a stack from some
+index on only through the 2/3 rule marks them as band rows; the forward
+transform then skips the lines that never reach the dealiasing box and
+leaves zeros on the columns beyond it.
 
 All operations are pure: input arrays are never mutated.  Fields may be
 shared freely across threads for reading.
@@ -134,16 +137,29 @@ class Grid:
 
     # -- transforms -----------------------------------------------------
 
-    def _fft(self, f: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real field or of a stack with leading axes."""
+    def _fft(self, f: np.ndarray, band: int | None = None) -> np.ndarray:
+        """Half spectrum of a real field or of a stack with leading axes.
+
+        Rows ``band:`` of a stack (along its first axis) are for callers
+        that read them only through the 2/3 rule: in 2-D and 3-D they equal
+        the full transform on the modes of the dealiasing box and are zero
+        on the columns beyond it.
+        """
         if self.dim == 1:
             return np.fft.rfft(f, axis=-1)
-        if self.dim == 2 or f.ndim == 3:
+        if f.ndim == self.dim:
             return np.fft.rfftn(f, axes=self._axes)
-        # a stack of 3-D fields: field by field beats one stacked call
-        out = np.empty(f.shape[:-3] + self._half_shape, dtype=complex)
-        for i in np.ndindex(f.shape[:-3]):
-            out[i] = np.fft.rfftn(f[i], axes=self._axes)
+        # rfftn's own passes in its order, so every mode transformed is
+        # rfftn's bit for bit; the passes after the first write in place
+        out = np.fft.rfft(f, axis=-1)
+        blocks = [out]
+        if band is not None:
+            cut = self.n // 3 + 1
+            blocks = [out[:band], out[band:, ..., :cut]]
+            out[band:, ..., cut:] = 0.0
+        for axis in self._axes[-2::-1]:
+            for block in blocks:
+                np.fft.fft(block, axis=axis, out=block)
         return out
 
     def _ifft(self, fhat: np.ndarray) -> np.ndarray:

@@ -255,12 +255,14 @@ def test_rhs_matches_term_by_term_operators(dim, n, drag_on):
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
 def test_rhs_makes_one_transform_call_each_way(dim, n):
     g = Grid(dim, n)
-    calls = []
+    calls, bands = [], []
 
     def counted(name, transform):
-        def wrapper(f):
+        def wrapper(f, *args):
             calls.append((name, f.shape[0]))
-            return transform(f)
+            if name == "forward":
+                bands.append(args)
+            return transform(f, *args)
         return wrapper
 
     state = random_state(g, np.random.default_rng(0))
@@ -270,6 +272,8 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     rhs(state, FluidParams(gamma=1.4, mu=0.5, lam=-0.3))
     # m, j, v, p - 1, the pairs m_a u_b and j_a v_b, rho*(u - v); then the 2 + 2*dim rates
     assert calls == [("forward", 4 * dim + 1 + 2 * pairs), ("inverse", 2 + 2 * dim)]
+    # j, v and m are read in full, the rows after them only through the 2/3 rule
+    assert bands == [(3 * dim,)]
 
     # the fluid rates with a drag row, as a kinetic stage makes them
     calls.clear()
@@ -277,6 +281,7 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     fluid_rates(g, state.n, state.j, v, FluidParams(gamma=1.4, mu=0.5), state.rho * v)
     # j, v, p - 1, the pairs j_a v_b, the drag; then the 1 + dim rates
     assert calls == [("forward", 3 * dim + 1 + pairs), ("inverse", 1 + dim)]
+    assert bands == [(3 * dim,), (2 * dim,)]
 
 
 def test_fluid_rates_with_a_drag_row_add_the_dealiased_drag():
@@ -470,6 +475,25 @@ def test_in_place_assembly_equals_the_seeded_sums_bit_for_bit(dim, n, drag_on, l
                 cfl_dt(_seeded_max_speed(want_state, params), g.dx, params, cfg)
             )
             assert _bits(grad_velocity_max(new)) == _bits(_seeded_grad_velocity_max(want_state))
+
+
+def test_operator_tables_are_built_for_each_params_object():
+    g = Grid(2, 16)
+    first = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
+    assert dyn._operators(g, first) is dyn._operators(g, first)
+    state = random_state(g, np.random.default_rng(3))
+    # an equal but distinct object, then objects that nothing else keeps:
+    # each one dropped could hand its id to the next
+    params = [FluidParams(gamma=1.4, mu=0.5, lam=-0.3)]
+    params += [FluidParams(gamma=1.4, mu=0.1 * k, lam=-0.01 * k) for k in range(1, 6)]
+    while params:
+        p = params.pop(0)
+        ops = dyn._operators(g, p)
+        assert _bits(ops.viscous) == _bits(p.mu * (-g._k2))
+        for got, ik in zip(ops.grad_div, g._ik):
+            assert got.tobytes() == ((p.mu + p.lam) * ik).tobytes()
+        assert _bits(rhs(state.copy(), p)) == _bits(_seeded_rhs(state, p))
+        del ops, p
 
 
 def test_sound_speed_equals_the_numpy_power_bit_for_bit():

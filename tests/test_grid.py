@@ -1,4 +1,6 @@
 """Spectral operator tests: closed-form oracles and property loops."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,12 +84,52 @@ def test_div_grad_equals_laplacian(dim, n):
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 def test_real_transform_roundtrips_a_stack(dim, n):
-    # the 3-D stack goes through the field-by-field path
+    # the stack goes through the pass-by-pass forward path and, in 3-D,
+    # the field-by-field inverse
     g = Grid(dim, n)
     f = np.random.default_rng(dim).standard_normal((3,) + g.shape)
     fhat = g._fft(f)
     assert fhat.shape == (3,) + g.shape[:-1] + (n // 2 + 1,)
     assert np.max(np.abs(g._ifft(fhat) - f)) < 1e-14 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [12, 16, 24, 32])
+def test_band_rows_equal_rfftn_on_the_dealiasing_box(dim, n):
+    # multiples of 3 put k = n/3 on the edge of the box
+    g = Grid(dim, n)
+    f = np.random.default_rng(n + dim).standard_normal((5,) + g.shape)
+    want = np.fft.rfftn(f, axes=tuple(range(-dim, 0)))
+    keep = np.broadcast_to(g._dealias_keep, want.shape[1:])
+    for band in (None, 0, 2, 5):
+        got = g._fft(f, band)
+        assert got.shape == want.shape
+        full = len(f) if band is None else band
+        assert got[:full].tobytes() == want[:full].tobytes()
+        assert got[full:][:, keep].tobytes() == want[full:][:, keep].tobytes()
+        assert not np.any(got[full:, ..., n // 3 + 1 :])
+    assert g._fft(f[0]).tobytes() == want[0].tobytes()
+    assert np.max(np.abs(g._ifft(g._fft(f)) - f)) < 1e-14 * np.max(np.abs(f))
+
+
+def test_band_leaves_the_1d_transform_as_it_is():
+    g = Grid(1, 24)
+    f = np.random.default_rng(1).standard_normal((5,) + g.shape)
+    assert g._fft(f, 2).tobytes() == np.fft.rfft(f).tobytes()
+
+
+def test_stacked_transform_allocates_only_its_output():
+    # numpy reports its buffers to tracemalloc: a temporary per pass shows
+    g = Grid(3, 32)
+    f = np.random.default_rng(2).standard_normal((25,) + g.shape)
+    g._fft(f[:2], 1)  # the first call builds the transform plans
+    tracemalloc.start()
+    try:
+        out = g._fft(f, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * out.nbytes
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])

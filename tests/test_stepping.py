@@ -362,9 +362,9 @@ def test_run_evaluates_each_state_once():
     calls = {"forward": 0, "inverse": 0}
 
     def counted(name, transform):
-        def wrapper(f):
+        def wrapper(f, *args):
             calls[name] += 1
-            return transform(f)
+            return transform(f, *args)
         return wrapper
 
     g._fft = counted("forward", g._fft)
