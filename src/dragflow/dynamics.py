@@ -207,21 +207,24 @@ def _operators(grid: Grid, params: FluidParams) -> _Operators:
     """Built at the first call for a (grid, params) and kept on the grid.
     Each table is the left factor of a product the rates would otherwise
     form per call; a negated table gives the negated product exactly."""
-    # keyed by identity, so a hit runs no Python-level __hash__/__eq__; the
-    # entry holds params, so its id cannot pass to another object
-    entry = grid._derived.get(id(params))
-    if entry is not None:
-        return entry[1]
-    d = grid.dim
-    pairs = _pairs(d)
-    ops = _Operators(
-        tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
-        [-ik for ik in grid._ik],
-        [-ik for ik in grid._ik_dealias],
-        params.mu * (-grid._k2),
-        [(params.mu + params.lam) * ik for ik in grid._ik],
-    )
-    grid._derived[id(params)] = (params, ops)
+    # the last params object seen is checked by identity first, so a repeat
+    # call runs no Python-level __hash__/__eq__; equal params share one entry
+    last = grid._derived.get(_operators)
+    if last is not None and last[0] is params:
+        return last[1]
+    ops = grid._derived.get(params)
+    if ops is None:
+        d = grid.dim
+        pairs = _pairs(d)
+        ops = _Operators(
+            tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(d)) for a in range(d)),
+            [-ik for ik in grid._ik],
+            [-ik for ik in grid._ik_dealias],
+            params.mu * (-grid._k2),
+            [(params.mu + params.lam) * ik for ik in grid._ik],
+        )
+        grid._derived[params] = ops
+    grid._derived[_operators] = (params, ops)
     return ops
 
 

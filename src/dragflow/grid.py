@@ -147,8 +147,6 @@ class Grid:
         """
         if self.dim == 1:
             return np.fft.rfft(f, axis=-1)
-        if f.ndim == self.dim:
-            return np.fft.rfftn(f, axes=self._axes)
         # rfftn's own passes in its order, so every mode transformed is
         # rfftn's bit for bit; the passes after the first write in place
         out = np.fft.rfft(f, axis=-1)

@@ -477,10 +477,16 @@ def test_in_place_assembly_equals_the_seeded_sums_bit_for_bit(dim, n, drag_on, l
             assert _bits(grad_velocity_max(new)) == _bits(_seeded_grad_velocity_max(want_state))
 
 
-def test_operator_tables_are_built_for_each_params_object():
+def test_operator_tables_are_shared_by_equal_params_and_right_for_each():
     g = Grid(2, 16)
     first = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
-    assert dyn._operators(g, first) is dyn._operators(g, first)
+    tables = dyn._operators(g, first)
+    assert dyn._operators(g, first) is tables
+    # equal but distinct objects find the same tables and add no entry
+    size = len(g._derived)
+    for _ in range(3):
+        assert dyn._operators(g, FluidParams(gamma=1.4, mu=0.5, lam=-0.3)) is tables
+    assert len(g._derived) == size
     state = random_state(g, np.random.default_rng(3))
     # an equal but distinct object, then objects that nothing else keeps:
     # each one dropped could hand its id to the next
