@@ -1,16 +1,14 @@
 """Command-line driver: runs, validation suites, studies, comparisons.
 
-Exit codes: 0 success, 2 configuration error, 3 run failure,
-4 validation failure.  ``SIM_THREADS``, a positive integer, caps study
-parallelism.
+Exit codes: 0 success, 2 configuration error, 3 run failure (inadmissible
+or unreadable initial data included), 4 validation failure.  A study runs
+its amplitudes one after another.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -33,20 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUN = 3
 EXIT_VALIDATION = 4
-
-
-def _worker_count() -> int:
-    """``SIM_THREADS`` when set, which must be a positive integer; else every core."""
-    env = os.environ.get("SIM_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"SIM_THREADS must be a positive integer, got {env!r}")
-    return workers
 
 
 def _build(cfg: RunConfig, seed: int | None):
@@ -308,9 +292,7 @@ def cmd_decay_study(args) -> int:
             row["status"] = f"error: {err}"
         return row
 
-    workers = min(_worker_count(), len(amplitudes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one_row, amplitudes))
+    rows = [one_row(amp) for amp in amplitudes]
 
     out_path = _out_path(args.out, "decay_study.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)

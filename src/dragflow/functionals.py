@@ -29,7 +29,7 @@ from .dynamics import (
     _pairs,
     gradient_norm_max,
     pressure_deviation,
-    primitive_velocity,
+    primitives,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
 
@@ -112,13 +112,11 @@ class _Fields:
         d = g.dim
         self.state, self.params = state, params
         self.n1 = 1.0 + state.n
-        self.min_n1 = float(self.n1.min())
+        self.u, self.v, self.min_n1, _ = primitives(state)
         if self.min_n1 <= 0.0:
             raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
         self.n_bar = float(self.n1.max())
         self.av = av = averages(state)
-        self.u, _ = primitive_velocity(state.rho, state.m)
-        self.v, _ = primitive_velocity(self.n1, state.j, self.min_n1)
         bshape = (-1,) + (1,) * d
         du = self.u - av.m_c.reshape(bshape)
         dv = self.v - av.j_c.reshape(bshape)

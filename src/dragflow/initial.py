@@ -12,7 +12,8 @@ KINDS = ("uniform_drag", "single_mode", "multi_mode", "from_snapshot")
 
 
 class InadmissibleInit(ValueError):
-    """Requested initial data would violate positivity."""
+    """Requested initial data would violate positivity, or its snapshot
+    cannot be read on the requested grid or holds an inadmissible state."""
 
 
 @dataclass
@@ -54,8 +55,11 @@ def generate_initial(
     if spec.kind == "from_snapshot":
         from .recordio import load_state
 
-        state = load_state(spec.snapshot, grid)
-        state.validate()
+        try:
+            state = load_state(spec.snapshot, grid)
+            state.validate()
+        except (OSError, ValueError, KeyError) as err:
+            raise InadmissibleInit(f"initial_data.snapshot {spec.snapshot!r}: {err}") from err
         return state
 
     x1 = grid.coords()[0]

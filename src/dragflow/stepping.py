@@ -34,23 +34,12 @@ class Status(str, Enum):
 
 
 class IntegrationError(RuntimeError):
-    status = Status.BLOWUP
+    """A step left the admissible set, or no dt can be computed; ``status``
+    is the stop status the run reports."""
 
-
-class VacuumBreachError(IntegrationError):
-    status = Status.VACUUM_BREACH
-
-
-class FluidVacuumBreachError(IntegrationError):
-    status = Status.FLUID_VACUUM_BREACH
-
-
-class BlowupError(IntegrationError):
-    status = Status.BLOWUP
-
-
-class DegenerateState(IntegrationError):
-    """No dt can be computed: the max signal speed is not finite."""
+    def __init__(self, status: Status, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @functools.cache
@@ -125,25 +114,27 @@ def cfl_dt(speed: float, dx: float, params: FluidParams, cfg: TimeConfig) -> flo
     """min of the advective CFL for signal speed ``speed``, the diffusive
     CFL, and dt_max, on a grid of spacing ``dx``."""
     if not math.isfinite(speed):
-        raise DegenerateState(f"max signal speed is {speed}")
+        raise IntegrationError(Status.BLOWUP, f"max signal speed is {speed}")
     advective = cfg.cfl_advective * dx / speed if speed > 0.0 else math.inf
     diffusive = cfg.cfl_diffusive * dx * dx / (2.0 * params.mu + params.lam)
     dt = min(advective, diffusive, cfg.dt_max)
     if not dt > 0.0:
-        raise DegenerateState(f"computed dt = {dt}")
+        raise IntegrationError(Status.BLOWUP, f"computed dt = {dt}")
     return dt
 
 
-def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> np.ndarray:
-    """One explicit Runge-Kutta step of y' = f(y) on one stacked array;
-    returns the advanced stack, newly allocated.  ``f`` is first called
-    with ``y`` itself.
+def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> tuple[np.ndarray, float]:
+    """One guarded explicit Runge-Kutta step of y' = f(y) on one stacked
+    array whose row 0 is the fluid's n; returns the advanced stack, newly
+    allocated, and the |mean(n)| its re-projection removed.  ``f`` is first
+    called with ``y`` itself.
 
     A stage is one scale-and-add over the stack, (c * k) + y, and every sum
     adds its terms to y from left to right.  The final sum scales the k's in
     place, so it makes no temporary the size of the stack.
-    A stage that leaves the fluid's admissible set (``NonPositiveDensity``
-    from ``f``) raises FluidVacuumBreachError.
+    Raises IntegrationError: FLUID_VACUUM_BREACH when a stage leaves the
+    fluid's admissible set (``NonPositiveDensity`` from ``f``), BLOWUP when
+    the advanced stack holds a non-finite value.
     """
 
     def stage(*terms: tuple[float, np.ndarray]) -> np.ndarray:
@@ -174,9 +165,16 @@ def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> np.ndarray:
             out = y + k1
             for _, k in terms[1:]:
                 out += k
-            return out
     except NonPositiveDensity as err:
-        raise FluidVacuumBreachError(str(err)) from err
+        raise IntegrationError(Status.FLUID_VACUUM_BREACH, str(err)) from err
+
+    # round-off guard: keep the conserved mean(n) at exactly zero
+    # np.mean's sum-then-divide without its wrapper, as functionals._mean
+    reproj = float(out[0].sum()) / out[0].size
+    out[0] -= reproj
+    if not np.isfinite(out).all():
+        raise IntegrationError(Status.BLOWUP, "non-finite values after the step")
+    return out, abs(reproj)
 
 
 @dataclass
@@ -188,12 +186,13 @@ class StepInfo:
 def step(
     state: State, params: FluidParams, dt: float, scheme: str = "rk4"
 ) -> tuple[State, StepInfo]:
-    """One explicit step; re-asserts invariants and re-projects mean(n).
+    """One guarded advance (see _rk_advance), then the particle floor and
+    min(1+n) checks on the new state's Primitives.
 
     The state it returns carries its Primitives, which its dt, its
-    steepening guard and the first stage of the next step read.  Raises
-    VacuumBreachError / FluidVacuumBreachError / BlowupError when the
-    advanced state leaves the admissible set.
+    steepening guard, its record and the first stage of the next step read.
+    Raises IntegrationError when the advanced state leaves the admissible
+    set: BLOWUP, then VACUUM_BREACH, then FLUID_VACUUM_BREACH.
     """
     g = state.grid
     info = StepInfo()
@@ -204,22 +203,15 @@ def step(
         info.floor_active = info.floor_active or stage.primitives.floor
         return rhs(stage, params)
 
-    new = State.of(g, _rk_advance(state.y, f, dt, scheme))
-
-    # round-off guard: keep the conserved mean(n) at exactly zero
-    # np.mean's sum-then-divide without its wrapper, as functionals._mean
-    reproj = float(new.y[0].sum()) / new.y[0].size
-    new.y[0] -= reproj
-    info.reprojection = abs(reproj)
-
-    name = new.nonfinite()
-    if name is not None:
-        raise BlowupError(f"non-finite values in {name}")
+    y, info.reprojection = _rk_advance(state.y, f, dt, scheme)
+    new = State.of(g, y)
     prim = primitives(new)
     if prim.floor:
-        raise VacuumBreachError(f"min rho = {new.min_rho():.3e} below floor {VACUUM_FLOOR:g}")
+        raise IntegrationError(
+            Status.VACUUM_BREACH, f"min rho = {new.min_rho():.3e} below floor {VACUUM_FLOOR:g}"
+        )
     if prim.n1_min <= 0.0:
-        raise FluidVacuumBreachError(f"min(1+n) = {prim.n1_min:.3e}")
+        raise IntegrationError(Status.FLUID_VACUUM_BREACH, f"min(1+n) = {prim.n1_min:.3e}")
     new.primitives = prim
     return new, info
 

@@ -7,7 +7,9 @@ import pytest
 
 from dragflow.cli import main, run_validation
 from dragflow.config import load_config
-from dragflow.recordio import read_records
+from dragflow.grid import Grid
+from dragflow.initial import InitSpec, generate_initial
+from dragflow.recordio import read_records, write_snapshot_index, write_state_snapshot
 
 
 def write_cfg(tmp_path, **overrides):
@@ -183,15 +185,36 @@ def test_decay_study_rejects_bad_amplitudes(tmp_path, capsys, amplitudes):
     assert not (tmp_path / "decay_study.csv").exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
-def test_decay_study_rejects_bad_sim_threads(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("SIM_THREADS", threads)
-    cfg = write_cfg(tmp_path)
-    code = main(["decay-study", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "SIM_THREADS" in err[0]
-    assert not (tmp_path / "decay_study.csv").exists()
+def _snapshot_index(directory, points, mean_n=0.0):
+    """The index of a snapshot of single-mode data on a 1-D grid of
+    ``points``, with ``mean_n`` added to n."""
+    g = Grid(1, points)
+    state = generate_initial(InitSpec(kind="single_mode", amplitudes={"rho": 0.05, "n": 0.05}), g)
+    state.n += mean_n
+    entries = write_state_snapshot(directory, state, 0.0, "init")
+    return write_snapshot_index(directory, entries, g.dim, g.n)
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "decay-study", "kinetic-compare"])
+@pytest.mark.parametrize("fault", ["missing_index", "grid_mismatch", "nonzero_mean_n"])
+def test_bad_snapshot_exits_3_naming_the_key(tmp_path, capsys, command, fault):
+    if fault == "missing_index":
+        index = tmp_path / "absent.json"
+    elif fault == "grid_mismatch":
+        index = _snapshot_index(tmp_path, 16)  # the config's grid has 32 points
+    else:
+        index = _snapshot_index(tmp_path, 32, mean_n=0.1)
+    cfg = write_cfg(tmp_path, initial_data={"kind": "from_snapshot", "snapshot": str(index)})
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    if command == "decay-study":
+        # each row carries the error as its status
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3 and all("error: initial_data.snapshot" in r for r in rows)
+    else:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "initial_data.snapshot" in lines[0]
 
 
 def test_kinetic_compare_smoke(tmp_path, capsys):

@@ -417,10 +417,7 @@ def _seeded_rhs(state, params):
 
 def _seeded_step(state, params, dt, scheme):
     g = state.grid
-    y = _rk_advance(state.y, lambda y_s: _seeded_rhs(State.of(g, y_s), params), dt, scheme)
-    reproj = float(y[0].mean())
-    y[0] -= reproj
-    return y, abs(reproj)
+    return _rk_advance(state.y, lambda y_s: _seeded_rhs(State.of(g, y_s), params), dt, scheme)
 
 
 def _seeded_max_speed(state, params):

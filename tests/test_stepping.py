@@ -12,10 +12,26 @@ import numpy as np
 import pytest
 
 import dragflow.functionals as fn
-from dragflow.dynamics import FluidParams, State, grad_velocity_max, max_speed, rhs
+from dragflow.dynamics import (
+    FluidParams,
+    NonPositiveDensity,
+    State,
+    grad_velocity_max,
+    max_speed,
+    rhs,
+)
 from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
-from dragflow.stepping import Status, TimeConfig, compute_dt, run, step
+from dragflow.stepping import (
+    IntegrationError,
+    Status,
+    TimeConfig,
+    _rk_advance,
+    cfl_dt,
+    compute_dt,
+    run,
+    step,
+)
 
 PARAMS = FluidParams(gamma=2.0, mu=1.0, lam=0.0)
 
@@ -230,10 +246,49 @@ def test_step_leaves_its_input_untouched(scheme):
         assert np.shares_memory(getattr(new, name), new.y), name
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+def test_guarded_advance_returns_the_reprojection(scheme):
+    # constant rates: row 0 gains a mean of about dt, which the advance removes
+    y = np.array([[0.5, -0.25, -0.25], [1.0, 2.0, 3.0]])
+    rate = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+    new, reproj = _rk_advance(y, lambda y_s: rate.copy(), 0.1, scheme)
+    assert reproj == pytest.approx(0.2, rel=1e-12)
+    assert abs(float(np.mean(new[0]))) < 1e-16
+    np.testing.assert_allclose(new[0], y[0] + 0.1 * rate[0] - 0.2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(new[1], y[1] + 0.1, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+def test_guarded_advance_stops_on_a_stage_vacuum(scheme):
+    calls = []
+
+    def f(y_s):
+        calls.append(y_s)
+        if len(calls) > 1:
+            raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
+        return np.zeros_like(y_s)
+
+    with pytest.raises(IntegrationError) as info:
+        _rk_advance(np.zeros((2, 4)), f, 0.1, scheme)
+    assert info.value.status == Status.FLUID_VACUUM_BREACH
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guarded_advance_stops_on_a_non_finite_result():
+    with pytest.raises(IntegrationError) as info:
+        _rk_advance(np.zeros((2, 4)), lambda y_s: np.full_like(y_s, np.inf), 0.1, "rk4")
+    assert info.value.status == Status.BLOWUP
+
+
+def test_cfl_dt_stops_on_a_non_finite_speed():
+    with pytest.raises(IntegrationError) as info:
+        cfl_dt(math.inf, 0.1, PARAMS, TimeConfig(t_end=1.0))
+    assert info.value.status == Status.BLOWUP
+
+
 def test_step_rejects_absurd_dt():
     g = Grid(1, 32)
     state = single_mode_state(g, amp=0.05)
-    from dragflow.stepping import IntegrationError
 
     with pytest.raises(IntegrationError):
         step(state, PARAMS, 1e6)  # leaves the admissible set within one step
