@@ -7,6 +7,8 @@ its amplitudes one after another.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 from dataclasses import replace
@@ -297,17 +299,17 @@ def cmd_decay_study(args) -> int:
     out_path = _out_path(args.out, "decay_study.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     cols = ["amplitude", "status", "L0", "lambda_hat", "r_squared", "u_dist_final", "v_dist_final"]
-    lines = [",".join(cols)]
+    # csv quotes a status that holds a comma; other rows read as plain joins
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
     for row in rows:
-        lines.append(
-            ",".join(
-                repr(row[c]) if isinstance(row.get(c), float) else str(row.get(c, ""))
-                for c in cols
-            )
+        writer.writerow(
+            repr(row[c]) if isinstance(row.get(c), float) else str(row.get(c, "")) for c in cols
         )
-    out_path.write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    text = buf.getvalue()
+    out_path.write_text(text)
+    print(text, end="")
     failed = any(r.get("status") not in ("completed",) for r in rows)
     return EXIT_RUN if failed else EXIT_OK
 

@@ -82,8 +82,9 @@ class State:
     assigning one writes into the stack.
 
     ``primitives`` holds the state's ``Primitives`` when ``step`` made the
-    state, for its dt, its steepening guard and the first stage of the next
-    step; that stage drops them.  Writing into a view does not refresh them,
+    state (or ``run`` derived them for its initial state), for its dt, its
+    steepening guard, its evaluation and the first stage of the next step;
+    that stage drops them.  Writing into a view does not refresh them,
     so a caller that changes a state ``step`` returned clears them first.
     """
 
@@ -134,9 +135,6 @@ class State:
 
     def min_rho(self) -> float:
         return float(np.min(self.rho))
-
-    def min_n1(self) -> float:
-        return float(np.min(1.0 + self.n))
 
 
 class Primitives(NamedTuple):

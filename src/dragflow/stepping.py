@@ -236,38 +236,32 @@ def run(
     if recorder is None:
         recorder = Recorder(initial.grid, params)
 
-    grad0 = grad_velocity_max(initial)
-    ceiling = STEEPENING_FACTOR * grad0 if grad0 > 1e-12 else math.inf
-
-    # [state, its max|grad u| from the guard, its evaluation] for the current
-    # state and, while a pending record needs it, the one a step behind.  A
-    # state is evaluated once, by the first record that needs it, and then
-    # only the evaluation's scalars are kept; a record evaluates its centre
-    # and neighbours together.
-    def evaluated(entry: list):
-        if entry[2] is None:
-            entry[2] = recorder.evaluate(entry[0], entry[1])
-            entry[0] = None
-        return entry[2]
-
-    cur = [initial, grad0, None]
-    prev: list | None = None
-    records: list[DiagnosticsRecord] = [recorder.record(0.0, initial, evaluation=evaluated(cur))]
+    # the initial state's guard, evaluation, dt and first stage share one
+    # Primitives, as a state from step does; they go on a view of the
+    # caller's state, not on the caller's object
+    state = State.of(initial.grid, initial.y)
+    state.primitives = primitives(initial)
+    grad = grad_velocity_max(state)
+    ceiling = STEEPENING_FACTOR * grad if grad > 1e-12 else math.inf
+    ev = recorder.evaluate(state, grad)
+    records: list[DiagnosticsRecord] = [recorder.record(0.0, state, evaluation=ev)]
 
     status = Status.COMPLETED
     floor_ever = False
     reproj_max = 0.0
     t = 0.0
     steps = 0
-    state = initial
-    pending_dt: float | None = None  # dt before the current state, awaiting its window
+    every = cfg.record_every
+    # (dt, evaluation) of the state before the current one while the current
+    # one is a record step, whose record waits for the next state
+    before = None
 
     t_end = cfg.t_end
     eps = 1e-12 * max(1.0, t_end)
     while t < t_end - eps:
         try:
             dt = min(compute_dt(state, params, cfg), t_end - t)
-            new_state, info = step(state, params, dt, cfg.scheme)
+            new, info = step(state, params, dt, cfg.scheme)
         except IntegrationError as err:
             # a pending record is the current (t, state): record it with the
             # stop flag; at the first step the stop record replaces t=0's
@@ -276,34 +270,37 @@ def run(
             if steps == 0:
                 records[0] = replace(records[0], flags=stop + records[0].flags)
             else:
-                records.append(recorder.record(t, state, flags=stop, evaluation=evaluated(cur)))
+                if ev is None:  # no record needed the state: its only late evaluation
+                    ev = recorder.evaluate(state, grad)
+                records.append(recorder.record(t, state, flags=stop, evaluation=ev))
             return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
 
         floor_ever = floor_ever or info.floor_active
         reproj_max = max(reproj_max, info.reprojection)
-
-        new = [new_state, grad_velocity_max(new_state), None]
-        if pending_dt is not None:
-            window = ((pending_dt, evaluated(prev)), (dt, evaluated(new)))
-            records.append(recorder.record(t, state, window=window, evaluation=evaluated(cur)))
-            pending_dt = None
-
-        prev, cur = cur, new
-        t += dt
         steps += 1
-        state = new_state
 
-        if cur[1] > ceiling:
+        # a state is evaluated now, while it carries the Primitives step left
+        # on it, when a record can need it: it ends the run, it completes a
+        # pending record's window, or it is a record step or the one before
+        new_grad = grad_velocity_max(new)
+        new_ev = None
+        ends = new_grad > ceiling or t + dt >= t_end - eps
+        if ends or before is not None or steps % every in (0, every - 1):
+            new_ev = recorder.evaluate(new, new_grad)
+        if before is not None:
+            window = (before, (dt, new_ev))
+            records.append(recorder.record(t, state, window=window, evaluation=ev))
+        before = (dt, ev) if steps % every == 0 else None
+
+        t += dt
+        state, grad, ev = new, new_grad, new_ev
+
+        if grad > ceiling:
             status = Status.GRADIENT_STEEPENING
             flags = ("stop:" + status.value,)
-            records.append(recorder.record(t, state, flags=flags, evaluation=evaluated(cur)))
+            records.append(recorder.record(t, state, flags=flags, evaluation=ev))
             return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
-
         if t >= t_end - eps:
-            records.append(recorder.record(t, state, evaluation=evaluated(cur)))
-        elif steps % cfg.record_every == 0:
-            pending_dt = dt
-        else:
-            prev = None
+            records.append(recorder.record(t, state, evaluation=ev))
 
     return RunResult(state, records, status, t, steps, floor_ever, reproj_max)

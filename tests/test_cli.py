@@ -1,4 +1,6 @@
 """End-to-end CLI checks on small configurations."""
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -215,6 +217,25 @@ def test_bad_snapshot_exits_3_naming_the_key(tmp_path, capsys, command, fault):
     else:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "initial_data.snapshot" in lines[0]
+
+
+def test_decay_study_quotes_a_status_holding_a_comma(tmp_path, capsys):
+    index = _snapshot_index(tmp_path, 32)
+    doc = json.loads(index.read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["field"] not in ("n", "m_0")]
+    index.write_text(json.dumps(doc))
+    cfg = write_cfg(tmp_path, initial_data={"kind": "from_snapshot", "snapshot": str(index)})
+    code = main(["decay-study", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+    text = (tmp_path / "decay_study.csv").read_text()
+    assert capsys.readouterr().out == text
+    header, *rows = csv.reader(io.StringIO(text))
+    assert len(header) == 7 and len(rows) == 3
+    for row in rows:
+        assert len(row) == 7
+        status = dict(zip(header, row))["status"]
+        assert status.startswith("error: initial_data.snapshot")
+        assert status.endswith("is missing fields ['m_0', 'n']")
 
 
 def test_kinetic_compare_smoke(tmp_path, capsys):

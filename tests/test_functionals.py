@@ -593,7 +593,7 @@ def test_windowed_record_matches_public_functionals(dim, points):
         E0_integral=fn.energy_density_e0(center, params)[0],
         sigma=sigma,
         min_rho=center.min_rho(),
-        min_n1=center.min_n1(),
+        min_n1=float(np.min(1.0 + center.n)),
         grad_u_max=grad_velocity_max(center),
         E_dev=fn.energy_deviation(center, params),
         u_align_dist=float(np.max(np.sqrt(np.sum((u - target) ** 2, axis=0)))),

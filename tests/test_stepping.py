@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dragflow.functionals as fn
+from dragflow import dynamics, stepping
 from dragflow.dynamics import (
     FluidParams,
     NonPositiveDensity,
@@ -434,34 +435,122 @@ def test_run_evaluates_each_state_once():
     assert calls == {"forward": 6 * res.steps + 2, "inverse": 5 * res.steps + 1}
 
 
-@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("every", [1, 2, 3, 7])
 def test_windowed_residuals_pair_each_record_with_its_neighbours(every):
     g = Grid(2, 16)
     state = multi_mode_state(g, seed=3)
-    cfg = TimeConfig(t_end=0.07, record_every=every)
-    res = run(state, PARAMS, cfg)
-    assert res.status == Status.COMPLETED
-    # the trajectory again, step by step, as run takes it: (t, state, dt before)
-    traj = [(0.0, state, None)]
-    t, s = 0.0, state
-    while t < cfg.t_end - 1e-12:
-        dt = min(compute_dt(s, PARAMS, cfg), cfg.t_end - t)
-        s, _ = step(s, PARAMS, dt, cfg.scheme)
-        t += dt
-        traj.append((t, s, dt))
-    assert len(traj) == res.steps + 1
-    index = {entry[0]: k for k, entry in enumerate(traj)}
-    windowed = [r for r in res.records if not math.isnan(r.residuals["energy_balance"])]
-    assert [index[r.t] for r in windowed] == list(range(every, res.steps, every))
-    sigma = res.records[0].functionals.sigma
-    for rec in windowed:
-        k = index[rec.t]
-        # the record centres its window on t with the step sizes on either side
-        before = (rec.t - traj[k][2], traj[k - 1][1])
-        after = (rec.t + traj[k + 1][2], traj[k + 1][1])
-        want = fn.identity_residuals(before, (rec.t, traj[k][1]), after, PARAMS, sigma)
-        for name, value in want.items():
-            assert rec.residuals[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
+    # dt_max binds at 0.01: 7 steps, then two record steps and the one after,
+    # so the last state completes a record's window
+    for t_end in (0.07, 0.01 * (2 * every + 1)):
+        cfg = TimeConfig(t_end=t_end, record_every=every)
+        res = run(state, PARAMS, cfg)
+        assert res.status == Status.COMPLETED
+        # the trajectory again, step by step, as run takes it: (t, state, dt before)
+        traj = [(0.0, state, None)]
+        t, s = 0.0, state
+        while t < cfg.t_end - 1e-12:
+            dt = min(compute_dt(s, PARAMS, cfg), cfg.t_end - t)
+            s, _ = step(s, PARAMS, dt, cfg.scheme)
+            t += dt
+            traj.append((t, s, dt))
+        assert len(traj) == res.steps + 1
+        index = {entry[0]: k for k, entry in enumerate(traj)}
+        windowed = [r for r in res.records if not math.isnan(r.residuals["energy_balance"])]
+        assert [index[r.t] for r in windowed] == list(range(every, res.steps, every))
+        sigma = res.records[0].functionals.sigma
+        for rec in windowed:
+            k = index[rec.t]
+            # the record centres its window on t with the step sizes on either side
+            before = (rec.t - traj[k][2], traj[k - 1][1])
+            after = (rec.t + traj[k + 1][2], traj[k + 1][1])
+            want = fn.identity_residuals(before, (rec.t, traj[k][1]), after, PARAMS, sigma)
+            for name, value in want.items():
+                assert rec.residuals[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
+    assert res.steps == 2 * every + 1
+
+
+def count_velocity_derivations(monkeypatch) -> dict:
+    """Counts dynamics.primitive_velocity calls: one entry per ``step`` call
+    under "steps", and the calls ``run`` makes outside ``step`` under "run"."""
+    calls = {"run": 0, "steps": []}
+    velocity, one_step = dynamics.primitive_velocity, stepping.step
+    in_step = [False]
+
+    def counted_velocity(*args):
+        if in_step[0]:
+            calls["steps"][-1] += 1
+        else:
+            calls["run"] += 1
+        return velocity(*args)
+
+    def counted_step(*args):
+        calls["steps"].append(0)
+        in_step[0] = True
+        try:
+            return one_step(*args)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(dynamics, "primitive_velocity", counted_velocity)
+    monkeypatch.setattr(stepping, "step", counted_step)
+    return calls
+
+
+@pytest.mark.parametrize("every", [1, 3, 50])
+def test_run_derives_each_states_velocities_once(monkeypatch, every):
+    # an rk4 step derives u and v for its new state and for stages 2-4, and
+    # its first stage reads those the last step left; the initial state's
+    # guard, evaluation, dt and first stage share one derivation
+    calls = count_velocity_derivations(monkeypatch)
+    res = run(single_mode_state(Grid(1, 64)), PARAMS, TimeConfig(t_end=0.3, record_every=every))
+    assert res.status == Status.COMPLETED and res.steps > 3 * every
+    assert calls["steps"] == [8] * res.steps
+    assert calls["run"] == 2
+
+
+@pytest.mark.parametrize("every,in_run", [(1, 2), (50, 4)])
+def test_a_stop_derives_only_an_unevaluated_states_velocities(monkeypatch, every, in_run):
+    # the failing step's first stage drops the stopped state's Primitives:
+    # its stop record derives them again unless a record needed the state
+    calls = count_velocity_derivations(monkeypatch)
+    cfg = TimeConfig(t_end=2.0, cfl_diffusive=1.0, dt_max=1.0, record_every=every)
+    res = run(single_mode_state(Grid(1, 64)), PARAMS, cfg)
+    assert res.status == Status.FLUID_VACUUM_BREACH and res.steps > 0
+    assert calls["steps"][:-1] == [8] * res.steps
+    assert calls["run"] == in_run
+
+
+def _exact(rec) -> list[str]:
+    """Every value of a record, as text that tells floats apart bit for bit."""
+    av = rec.averages
+    values = [rec.t, rec.mass_n, av.rho_c, *av.m_c, *av.j_c, *rec.mom_total]
+    values += [*vars(rec.functionals).values(), *rec.residuals.values(), *rec.checks.values()]
+    return [float(v).hex() for v in values] + list(rec.flags)
+
+
+@pytest.mark.parametrize("case", ["breach", "recorded_breach", "steepening"])
+def test_a_stop_record_equals_a_fresh_evaluation_of_the_final_state(case):
+    g = Grid(1, 64)
+    if case == "steepening":
+        params = FluidParams(gamma=2.0, mu=1.0, lam=0.0, drag_on=False)
+        state = generate_initial(InitSpec(kind="single_mode", amplitudes={"rho": 0.2, "u": 0.9}), g)
+        cfg = TimeConfig(t_end=3.0, record_every=100)
+        status = Status.GRADIENT_STEEPENING
+    else:
+        # every 50 steps no record needs the state the breach stops at
+        params, state = PARAMS, single_mode_state(g)
+        every = 1 if case == "recorded_breach" else 50
+        cfg = TimeConfig(t_end=2.0, cfl_diffusive=1.0, dt_max=1.0, record_every=every)
+        status = Status.FLUID_VACUUM_BREACH
+    res = run(state, params, cfg)
+    assert res.status == status and res.steps > 0
+    # run leaves the caller's state without Primitives
+    assert state.primitives is None
+    recorder = fn.Recorder(g, params)
+    recorder.evaluate(state)  # t = 0 fixes sigma, the alignment target and e0
+    stop = ("stop:" + status.value,)
+    want = recorder.record(res.t_final, res.final_state.copy(), flags=stop)
+    assert _exact(res.records[-1]) == _exact(want)
 
 
 def _libc_has_mallopt() -> bool:
