@@ -20,17 +20,8 @@ from .functionals import (
     averages,
     characteristic_lower_bound_check,
     decay_fit,
-    dissipation,
-    dissipation_domination_check,
-    energy_density_e0,
-    equivalence_constants,
-    identity_residuals,
-    interacting_energy,
-    jc_bounds_check,
-    lyapunov,
     pressure_potential,
     pressure_potential_bounds,
-    total_energy,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
 from .initial import InitSpec, generate_initial
@@ -61,16 +52,8 @@ __all__ = [
     "compute_dt",
     "decay_fit",
     "deposit",
-    "dissipation",
-    "dissipation_domination_check",
-    "energy_density_e0",
-    "equivalence_constants",
     "generate_initial",
-    "identity_residuals",
-    "interacting_energy",
-    "jc_bounds_check",
     "kinetic_run",
-    "lyapunov",
     "pressure_potential",
     "pressure_potential_bounds",
     "push",
@@ -78,5 +61,4 @@ __all__ = [
     "run",
     "sound_speed_max",
     "step",
-    "total_energy",
 ]

@@ -1,5 +1,8 @@
 """Functionals, exact identities, inequality checks, and decay fitting.
 
+``Recorder.evaluate`` reads every functional and check of a state from its
+derived fields, built once; ``Recorder.record`` adds a window's residuals.
+
 Every functional here integrates against the normalized measure dx/(2*pi)^dim
 (i.e. grid means), so the total fluid mass is 1, the averaged quantities are
 velocity-scaled, and the constants appearing in the identity and inequality
@@ -46,10 +49,6 @@ class NonPositiveValues(DiagnosticsError):
     pass
 
 
-class HypothesisViolated(DiagnosticsError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # normalized quadrature helpers
 # ---------------------------------------------------------------------------
@@ -92,7 +91,13 @@ def averages(state: State) -> Averages:
 
 
 class _Fields:
-    """Derived fields and scalars of one state, built once and shared by every functional.
+    """Derived fields and scalars of one state, built once by ``Recorder.evaluate``.
+
+    E carries the pressure potential with coefficient 2/(gamma-1), so that
+    d(E)/dt / 2 + D = 0; E_dev is E less its equilibrium value.  E_sigma
+    adds to the fluctuation energy E_script the sigma-weighted coupling of
+    the fluid momentum fluctuation to the density through the Bogovskii
+    lift, and D_sigma = D + I4 + ... + I10 makes d(E_sigma)/dt / 2 + D_sigma = 0.
 
     Pointwise products stay in physical space: the energies, the
     fluctuation terms, I3, j_c', E0 and the alignment distances.  The
@@ -105,12 +110,11 @@ class _Fields:
     order.
     """
 
-    def __init__(self, state: State, params: FluidParams, sigma: float = 0.0):
+    def __init__(self, state: State, params: FluidParams, sigma: float):
         if sigma < 0.0:
             raise DiagnosticsError("sigma must be nonnegative")
         g = state.grid
         d = g.dim
-        self.state, self.params = state, params
         self.n1 = 1.0 + state.n
         self.u, self.v, self.min_n1, _ = primitives(state)
         if self.min_n1 <= 0.0:
@@ -181,8 +185,6 @@ class _Fields:
                 -sigma * (-float(np.dot(av.j_c, g.inner(div_j, lift)))
                           + float(np.dot(self.jc_prime, g.inner(nhat, lift)))),
             )
-        values = (self.i1, self.i2, self.i3) + extra
-        self.terms = {f"I{k}": val for k, val in enumerate(values, start=1)}
         self.D_sigma = self.D
         for val in extra:
             self.D_sigma += val
@@ -199,45 +201,8 @@ class _Fields:
 
 
 # ---------------------------------------------------------------------------
-# basic functionals
-# ---------------------------------------------------------------------------
-
-
-def energy_deviation(state: State, params: FluidParams) -> float:
-    """Total energy minus its equilibrium constant 2/(gamma-1).
-
-    Deviation form of the kinetic + internal energy: exact up to the
-    conserved mean(n) term, and conditioned on the size of the
-    fluctuations rather than on the O(1) equilibrium energy, which keeps
-    the balance residual measurable at late times.
-    """
-    return _Fields(state, params).E_dev
-
-
-def total_energy(state: State, params: FluidParams) -> float:
-    """E = mean(rho|u|^2 + (1+n)|v|^2) + 2*mean((1+n)^gamma)/(gamma-1).
-
-    The pressure potential carries the coefficient 2/(gamma-1): that is the
-    combination whose halved time derivative balances the dissipation
-    exactly (d(E)/dt / 2 + D = 0), matches the interacting energy-variation
-    term for term, and is monotone along solutions.
-    """
-    return _Fields(state, params).E
-
-
-def dissipation(state: State, params: FluidParams) -> float:
-    """mu*mean|grad v|^2 + (mu+lam)*mean|div v|^2 + mean rho|u-v|^2."""
-    return _Fields(state, params).D
-
-
-def lyapunov(state: State, params: FluidParams) -> tuple[float, float]:
-    """Momentum/mass fluctuation functional; returns (L, L_p)."""
-    f = _Fields(state, params)
-    return f.L, f.L_p
-
-
-# ---------------------------------------------------------------------------
-# pressure potential f(r; r0) and its quadratic bounds
+# pressure potential f(r; r0), its quadratic bounds, sigma and the
+# equivalence constants
 # ---------------------------------------------------------------------------
 
 
@@ -285,37 +250,6 @@ def _bounds_above(n_bar: float, gamma: float) -> tuple[float, float]:
     return pressure_potential_bounds(1.0, r_bar, gamma)
 
 
-# ---------------------------------------------------------------------------
-# interacting energy-variation and its dissipation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InteractingEnergy:
-    E_script: float
-    E_sigma: float
-    D_sigma: float
-    sigma: float
-    terms: dict
-
-
-def interacting_energy(
-    state: State, params: FluidParams, sigma: float
-) -> InteractingEnergy:
-    """Momentum-fluctuation energy, its correction, and the matching dissipation.
-
-    E_script uses the quadratic pressure potential (so it vanishes at the
-    aligned uniform equilibrium and is comparable to the fluctuation
-    functional).  For sigma > 0 the correction couples the fluid momentum
-    fluctuation to the density through the divergence-lifting operator, and
-    D_sigma carries the ten corresponding terms, reported individually in
-    ``terms`` for debuggability.  The pair satisfies
-    d(E_sigma)/dt / 2 + D_sigma = 0 along solutions of the coupled system.
-    """
-    f = _Fields(state, params, sigma)
-    return InteractingEnergy(f.E_script, f.E_sigma, f.D_sigma, sigma, f.terms)
-
-
 def _sigma_max(n_bar: float, bounds: tuple[float, float]) -> float:
     return min(1.0 / n_bar, 2.0 * bounds[0] / BOGOVSKII_CONSTANT)
 
@@ -338,105 +272,16 @@ def sigma_default(state: State, params: FluidParams) -> float:
 def _equivalence(
     rho_c: float, n_bar: float, bounds: tuple[float, float], sigma: float
 ) -> tuple[float, float]:
-    c1_pp, c2_pp = bounds
-    frac = rho_c / (rho_c + 1.0)
-    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * BOGOVSKII_CONSTANT)
-    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * BOGOVSKII_CONSTANT)
-    return c1, c2
-
-
-def equivalence_constants(
-    state: State, params: FluidParams, sigma: float
-) -> tuple[float, float]:
     """(c1, c2) with c1 * L <= E_sigma <= c2 * L for admissible sigma.
 
     The pressure-term constants are twice the pressure-potential bounds
     (the interacting energy carries the potential with coefficient 2).
     """
-    n_bar = float(np.max(1.0 + state.n))
-    bounds = _bounds_above(n_bar, params.gamma)
-    return _equivalence(averages(state).rho_c, n_bar, bounds, sigma)
-
-
-# ---------------------------------------------------------------------------
-# inequality checks with explicit constants
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JcBounds:
-    ok: bool
-    slack_momentum: float  # E0 - |j_c|^2
-    slack_rate: float  # rho_c * mean(rho|u-v|^2) - |j_c'|^2
-
-
-def _jc_bounds(f: _Fields, e0: float) -> JcBounds:
-    slack_mom = e0 - float(np.sum(f.av.j_c**2))
-    slack_rate = f.av.rho_c * f.i3 - float(np.sum(f.jc_prime**2))
-    ok = slack_mom >= -1e-10 and slack_rate >= -1e-10
-    return JcBounds(ok, slack_mom, slack_rate)
-
-
-def jc_bounds_check(state: State, params: FluidParams, e0: float) -> JcBounds:
-    """|j_c|^2 <= E(0) and |j_c'|^2 <= rho_c * mean(rho|u-v|^2)."""
-    return _jc_bounds(_Fields(state, params), e0)
-
-
-@dataclass(frozen=True)
-class DissipationDomination:
-    ok: bool
-    C_explicit: float
-    lhs: float  # L_p
-    rhs: float  # C_explicit * D
-
-
-def _domination(f: _Fields) -> DissipationDomination:
-    rho_c, n_bar = f.av.rho_c, f.n_bar
-    rho_bar = float(np.max(f.state.rho))
-    c_expl = (2.0 / min(1.0, rho_c)) * max(
-        1.0, 2.0 * (3.0 * (rho_c * n_bar + rho_bar) + n_bar) / f.params.mu
-    )
-    rhs = c_expl * f.D
-    ok = f.L_p <= rhs * (1.0 + 1e-9) + 1e-14
-    return DissipationDomination(ok, c_expl, f.L_p, rhs)
-
-
-def dissipation_domination_check(
-    state: State, params: FluidParams
-) -> DissipationDomination:
-    """L_p <= C * D with the explicit constant (Poincare constant 1).
-
-    C = 2/min(1, rho_c) * max(1, 2*(3*(rho_c*n_bar + rho_bar) + n_bar)/mu),
-    with rho_bar = max rho and n_bar = max (1+n) over the grid.
-    """
-    return _domination(_Fields(state, params))
-
-
-def _energy_density(f: _Fields) -> tuple[float, tuple[float, float]]:
-    if float(np.max(np.abs(f.state.n))) > 0.5:
-        raise HypothesisViolated("energy_density_e0 requires max|n| <= 1/2")
-    vsq = _dot_sq(f.v)
-    e0 = f.pdev / (f.params.gamma - 1.0) + 0.5 * f.n1 * vsq
-    denom = f.state.n * f.state.n + vsq
-    mask = denom > 1e-14
-    if np.any(mask):
-        ratios = e0[mask] / denom[mask]
-        bounds = (float(np.min(ratios)), float(np.max(ratios)))
-    else:
-        bounds = (math.nan, math.nan)
-    return _mean(e0), bounds
-
-
-def energy_density_e0(
-    state: State, params: FluidParams
-) -> tuple[float, tuple[float, float]]:
-    """Pointwise energy density of the fluid phase and its quadratic ratio.
-
-    E0(n, v) = ((1+n)^gamma - 1 - gamma n)/(gamma-1) + (1+n)|v|^2 / 2.
-    Returns (mean of E0, (min, max) of E0/(n^2 + |v|^2) where the
-    denominator exceeds 1e-14).  Requires the grid max of |n| <= 1/2.
-    """
-    return _energy_density(_Fields(state, params))
+    c1_pp, c2_pp = bounds
+    frac = rho_c / (rho_c + 1.0)
+    c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * BOGOVSKII_CONSTANT)
+    c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * BOGOVSKII_CONSTANT)
+    return c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +309,6 @@ def _residuals(times, before: tuple, centre, after: tuple) -> dict:
         name: 0.5 * _nonuniform_derivative(*e, h0, h1) + sink
         for name, e, sink in zip(RESIDUALS, samples, centre.sinks)
     }
-
-
-def identity_residuals(
-    before: tuple[float, State],
-    center: tuple[float, State],
-    after: tuple[float, State],
-    params: FluidParams,
-    sigma: float,
-) -> dict:
-    """Per-unit-time residuals of the balance identities at the center state.
-
-    Residuals of: the total-energy balance, the interacting-energy balance
-    at the given sigma, and the three fluctuation identities (particle
-    fluctuation, fluid fluctuation + pressure, mean-momentum gap).  All are
-    second-order accurate in the sample spacing.  The neighbours contribute
-    only their energy scalars.
-    """
-    (t0, s0), (t1, s1), (t2, s2) = before, center, after
-    e_before = _Fields(s0, params, sigma).energies
-    e_after = _Fields(s2, params, sigma).energies
-    return _residuals((t0, t1, t2), e_before, _Fields(s1, params, sigma), e_after)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +487,15 @@ class Recorder:
         if self.averages0 is None:
             self.averages0, self._target, self.e0 = f.av, alignment_target(f.av), f.E
 
+        # the mean of the fluid's energy density
+        # E0 = ((1+n)^gamma - 1 - gamma n)/(gamma-1) + (1+n)|v|^2 / 2,
+        # defined under the hypothesis max|n| <= 1/2
         flags = ()
-        try:
-            e0_int, _ = _energy_density(f)
-        except HypothesisViolated:
+        if float(np.max(np.abs(state.n))) > 0.5:
             e0_int = math.nan
             flags = ("e0_hypothesis",)
+        else:
+            e0_int = _mean(f.pdev / (params.gamma - 1.0) + 0.5 * f.n1 * _dot_sq(f.v))
         if grad_u_max is None:
             grad_u_max = gradient_norm_max(self.grid, f.u)
         tgt = self._target.reshape((-1,) + (1,) * self.grid.dim)
@@ -690,15 +517,21 @@ class Recorder:
             v_align_dist=float(np.max(np.sqrt(_dot_sq(f.v - tgt)))),
         )
 
-        jc = _jc_bounds(f, self.e0)
-        dom = _domination(f)
-        bounds = _bounds_above(f.n_bar, params.gamma)
-        c1, c2 = _equivalence(f.av.rho_c, f.n_bar, bounds, self.sigma)
+        # L_p <= C * D with the explicit constant (Poincare constant 1),
+        # rho_bar = max rho and n_bar = max (1+n) over the grid
+        rho_c, n_bar = f.av.rho_c, f.n_bar
+        rho_bar = float(np.max(state.rho))
+        c_expl = (2.0 / min(1.0, rho_c)) * max(
+            1.0, 2.0 * (3.0 * (rho_c * n_bar + rho_bar) + n_bar) / params.mu
+        )
+        bounds = _bounds_above(n_bar, params.gamma)
+        c1, c2 = _equivalence(rho_c, n_bar, bounds, self.sigma)
+        # |j_c|^2 <= E(0) and |j_c'|^2 <= rho_c * mean(rho|u-v|^2)
         checks = {
-            "jc_momentum_slack": jc.slack_momentum,
-            "jc_rate_slack": jc.slack_rate,
-            "domination_C": dom.C_explicit,
-            "domination_slack": dom.rhs - dom.lhs,
+            "jc_momentum_slack": self.e0 - float(np.sum(f.av.j_c**2)),
+            "jc_rate_slack": rho_c * f.i3 - float(np.sum(f.jc_prime**2)),
+            "domination_C": c_expl,
+            "domination_slack": c_expl * f.D - f.L_p,
             "equiv_c1": c1,
             "equiv_c2": c2,
             "equiv_lower_slack": funcs.E_sigma - c1 * funcs.L,

@@ -142,6 +142,25 @@ def test_validate_prints_the_momentum_bound_slacks_as_minima(tmp_path, capsys):
     assert printed["inequality.jc_momentum_min_slack"] > 0.0
 
 
+def test_validate_passes_at_the_aligned_equilibrium(tmp_path, capsys):
+    # u = v uniform: D = 0 on every record and the energy residual is
+    # round-off, which the residual-over-D ratio must not divide by D
+    cfg = write_cfg(
+        tmp_path,
+        initial_data={"kind": "uniform_drag", "amplitudes": {"u": 0.1, "v": 0.1}},
+        time={"t_end": 0.5, "record_every": 5},
+    )
+    code = main(["validate", "--config", str(cfg), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    lines = out.strip().splitlines()
+    assert all(l.endswith("PASS") for l in lines)
+    assert not any(l.startswith("identity.energy_residual_over_D") for l in lines)
+    _, result = run_validation(load_config(cfg), None)
+    windowed = [r for r in result.records if not math.isnan(r.residuals["energy_balance"])]
+    assert windowed and all(r.functionals.D == 0.0 for r in windowed)
+
+
 def test_validate_fails_on_unstable_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, time={"t_end": 0.5, "cfl_diffusive": 1.0, "dt_max": 1.0})
     code = main(["validate", "--config", str(cfg), "--out", str(tmp_path)])

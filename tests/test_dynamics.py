@@ -326,7 +326,7 @@ def test_drag_off_decouples_subsystems():
 
 def test_energy_balance_chain_rule():
     # d(E)/dt assembled from the rates equals -2 D up to the dealiasing floor
-    from dragflow.functionals import dissipation
+    from dragflow.functionals import Recorder
 
     g = Grid(1, 64)
     params = FluidParams(gamma=2.0, mu=1.0)
@@ -346,7 +346,7 @@ def test_energy_balance_chain_rule():
         / (params.gamma - 1.0)
         * np.mean((1 + n) ** (params.gamma - 1.0) * rates.d_n)
     )
-    d_val = dissipation(state, params)
+    d_val = Recorder(g, params).evaluate(state).functionals.D
     assert abs(dE + 2.0 * d_val) < 1e-12 * d_val
 
 

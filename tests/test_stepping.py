@@ -457,13 +457,13 @@ def test_windowed_residuals_pair_each_record_with_its_neighbours(every):
         index = {entry[0]: k for k, entry in enumerate(traj)}
         windowed = [r for r in res.records if not math.isnan(r.residuals["energy_balance"])]
         assert [index[r.t] for r in windowed] == list(range(every, res.steps, every))
-        sigma = res.records[0].functionals.sigma
+        recorder = fn.Recorder(g, PARAMS, res.records[0].functionals.sigma)
         for rec in windowed:
             k = index[rec.t]
             # the record centres its window on t with the step sizes on either side
-            before = (rec.t - traj[k][2], traj[k - 1][1])
-            after = (rec.t + traj[k + 1][2], traj[k + 1][1])
-            want = fn.identity_residuals(before, (rec.t, traj[k][1]), after, PARAMS, sigma)
+            before = (traj[k][2], recorder.evaluate(traj[k - 1][1]))
+            after = (traj[k + 1][2], recorder.evaluate(traj[k + 1][1]))
+            want = recorder.record(rec.t, traj[k][1], window=(before, after)).residuals
             for name, value in want.items():
                 assert rec.residuals[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
     assert res.steps == 2 * every + 1
