@@ -10,10 +10,11 @@ Every field is real, so the transforms are real-to-complex: a spectrum
 is the half spectrum of ``rfftn`` (the last axis holds k >= 0 only), and
 the Fourier symbols are built once on it.  Both transforms accept a stack
 of fields with leading axes, so a caller transforms everything it needs
-in one call each way.  A caller that reads the rows of a stack from some
-index on only through the 2/3 rule marks them as band rows; the forward
-transform then skips the lines that never reach the dealiasing box and
-leaves zeros on the columns beyond it.
+in one call each way.  They are numpy's bit for bit: its pocketfft kernels
+in ``rfftn``'s and ``irfftn``'s passes, without ``numpy.fft``'s wrapper.  A
+caller that reads the rows of a stack from some index on only through the
+2/3 rule marks them as band rows; the forward transform then skips the
+lines that never reach the dealiasing box and zeroes the columns past it.
 
 All operations are pure: input arrays are never mutated.  Fields may be
 shared freely across threads for reading.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as pocketfft
 
 TWO_PI = 2.0 * np.pi
 # sup of ||bogovskii(f)||_H1 / ||f||_L2: the lift scales mode k by 1/|k|, so
@@ -122,8 +124,6 @@ class Grid:
     def coords(self) -> list[np.ndarray]:
         """Meshgrid coordinate arrays (ij indexing), one per axis."""
         x = np.arange(self.n) * self.dx
-        if self.dim == 1:
-            return [x]
         return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def zeros(self) -> np.ndarray:
@@ -145,11 +145,10 @@ class Grid:
         the full transform on the modes of the dealiasing box and are zero
         on the columns beyond it.
         """
+        out = np.empty(f.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        pocketfft.rfft_n_even(f, 1.0, out=out)
         if self.dim == 1:
-            return np.fft.rfft(f, axis=-1)
-        # rfftn's own passes in its order, so every mode transformed is
-        # rfftn's bit for bit; the passes after the first write in place
-        out = np.fft.rfft(f, axis=-1)
+            return out
         blocks = [out]
         if band is not None:
             cut = self.n // 3 + 1
@@ -157,18 +156,22 @@ class Grid:
             out[band:, ..., cut:] = 0.0
         for axis in self._axes[-2::-1]:
             for block in blocks:
-                np.fft.fft(block, axis=axis, out=block)
+                pocketfft.fft(block, 1.0, axes=[(axis,), (), (axis,)], out=block)
         return out
 
     def _ifft(self, fhat: np.ndarray) -> np.ndarray:
         """Real field(s) from half spectra; the inverse of _fft."""
+        out = np.empty(fhat.shape[:-1] + (self.n,))
         if self.dim == 1:
-            return np.fft.irfft(fhat, n=self.n, axis=-1)
-        if self.dim == 2 or fhat.ndim == 3:
-            return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
-        out = np.empty(fhat.shape[:-3] + self.shape)
-        for i in np.ndindex(fhat.shape[:-3]):
-            out[i] = np.fft.irfftn(fhat[i], s=self.shape, axes=self._axes)
+            return pocketfft.irfft(fhat, 1.0 / self.n, out=out)
+        # irfftn's passes in its order, each scaled by 1/n, in place on a copy:
+        # of the stack in 2-D, of each field in 3-D (a stacked copy raised peak RSS)
+        for i in np.ndindex(fhat.shape[:-3]) if self.dim == 3 else [()]:
+            c = fhat[i].astype(complex)
+            for axis in self._axes[:-1]:
+                pocketfft.ifft(c, 1.0 / self.n, axes=[(axis,), (), (axis,)], out=c)
+            pocketfft.irfft(c, 1.0 / self.n, out=out[i])
+            del c  # before the next field's copy
         return out
 
     def inner(self, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
@@ -238,10 +241,7 @@ class Grid:
         stack are summed in quadrature, and linf_grid is the grid max of
         the euclidean magnitude.
         """
-        if f.shape == self.shape:
-            comps = f[None]
-        else:
-            comps = f.reshape((-1,) + self.shape)
+        comps = f.reshape((-1,) + self.shape)
         l2sq = sum(self.integral(c * c) for c in comps)
         gradsq = 0.0
         for g in self.gradient(comps):

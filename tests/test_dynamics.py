@@ -22,6 +22,7 @@ from dragflow.dynamics import (
     rhs,
     sound_speed_max,
 )
+from dragflow.functionals import Recorder
 from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
 from dragflow.stepping import TimeConfig, _rk_advance, cfl_dt, compute_dt, step
@@ -282,6 +283,29 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     # j, v, p - 1, the pairs j_a v_b, the drag; then the 1 + dim rates
     assert calls == [("forward", 3 * dim + 1 + pairs), ("inverse", 1 + dim)]
     assert bands == [(3 * dim,), (2 * dim,)]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_the_solver_and_diagnostics_call_no_numpy_fft_wrapper(dim, n, monkeypatch):
+    # Grid calls numpy's pocketfft kernels directly, without the wrapper's
+    # cost per call; a call to the public functions must not creep back in
+    g = Grid(dim, n)
+    params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
+    state = random_state(g, np.random.default_rng(dim))
+    v = state.j / (1.0 + state.n)
+    recorder = Recorder(g, params)
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("numpy.fft wrapper called")
+
+    for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, wrapper)
+    rhs(state.copy(), params)
+    fluid_rates(g, state.n, state.j, v, params, state.rho * v)
+    g.gradient(state.rho)
+    recorder.evaluate(state)
+    new, _ = step(state, params, 1e-4)
+    assert np.all(np.isfinite(new.y))
 
 
 def test_fluid_rates_with_a_drag_row_add_the_dealiased_drag():
