@@ -12,7 +12,8 @@ The rates are assembled on the half spectrum of the grid's real
 transforms: ``rhs`` stacks every field and product it needs into one
 forward transform call and brings all rates back in one inverse call.
 The fluxes m u and j v are symmetric, so only their pairs a <= b are
-transformed.
+transformed.  The particle solver advances its carrier fluid with ``rhs``
+too, on a stack whose rho and m rows hold the deposited moments.
 """
 from __future__ import annotations
 
@@ -259,61 +260,6 @@ def _fluid_stack(
     return out
 
 
-def _fluid_spectra(
-    grid: Grid, hat: np.ndarray, ops: _Operators, extra: int = 0, mid: int = 0
-) -> np.ndarray:
-    """Spectra of d_n and d_j (drag-free) from a transformed ``_fluid_stack``
-    with ``mid`` slots, followed by ``extra`` unfilled slots."""
-    d = grid.dim
-    p_at = 2 * d + mid
-    jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[p_at]
-    flux_hat = hat[p_at + 1 : p_at + 1 + len(_pairs(d))]
-    out = np.empty((1 + d + extra,) + grid._half_shape, dtype=complex)
-    _dot(ops.neg_ik, jhat, range(d), out[0])
-    div_v_hat = _dot(grid._ik, vhat, range(d))
-    for a in range(d):
-        # pressure, viscous mu*lap(v) + (mu+lam)*grad(div v), then the j v flux
-        acc = out[1 + a]
-        np.multiply(ops.neg_ik_dealias[a], p1hat, out=acc)
-        acc += ops.viscous * vhat[a]
-        acc += ops.grad_div[a] * div_v_hat
-        # the flux sum is formed on its own, then added: in 2-D and 3-D,
-        # adding its terms into acc one by one would round differently
-        acc += _dot(ops.neg_ik_dealias, flux_hat, ops.flux_index[a])
-    return out
-
-
-def fluid_rates(
-    grid: Grid,
-    n: np.ndarray,
-    j: np.ndarray,
-    v: np.ndarray,
-    params: FluidParams,
-    drag: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fluid rates stacked as [d_n, d_j_1..d_j_d], assembled in spectral
-    space; ``drag`` is the force density on the fluid, added to d_j with the
-    2/3 rule, and without it the rates are drag-free.
-
-    One forward transform call on the stacked fields, products and drag,
-    with the rows from p - 1 on transformed only as far as the 2/3 rule
-    reads them, and one inverse call on the stacked rates.  Raises
-    NonPositiveDensity when min(1+n) <= 0, where the pressure is undefined.
-    """
-    if float(np.min(1.0 + n)) <= 0.0:
-        raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
-    d = grid.dim
-    extra = 0 if drag is None else d
-    phys = _fluid_stack(grid, n, j, v, params.gamma, extra)
-    if extra:
-        phys[-d:] = drag
-    hat = grid._fft(phys, 2 * d)
-    out = _fluid_spectra(grid, hat, _operators(grid, params))
-    if extra:
-        out[1:] += grid._dealias_keep * hat[-d:]
-    return grid._ifft(out)
-
-
 def rhs(state: State, params: FluidParams) -> np.ndarray:
     """Semi-discrete rates of the coupled system in conservative variables,
     stacked as a state is: [d_n, d_j_1..d_j_d, d_rho, d_m_1..d_m_d].
@@ -352,7 +298,19 @@ def rhs(state: State, params: FluidParams) -> np.ndarray:
     del phys
 
     # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
-    out = _fluid_spectra(g, hat, ops, 1 + d, d)
+    out = np.empty((2 + 2 * d,) + g._half_shape, dtype=complex)
+    _dot(ops.neg_ik, hat, range(d), out[0])
+    div_v_hat = _dot(g._ik, hat, range(d, 2 * d))
+    for a in range(d):
+        # pressure, viscous mu*lap(v) + (mu+lam)*grad(div v), then the j v flux
+        acc = out[1 + a]
+        np.multiply(ops.neg_ik_dealias[a], hat[band], out=acc)
+        acc += ops.viscous * hat[d + a]
+        acc += ops.grad_div[a] * div_v_hat
+        # the flux sum is formed on its own, then added: in 2-D and 3-D,
+        # adding its terms into acc one by one would round differently
+        acc += _dot(ops.neg_ik_dealias, hat[band + 1 : flux_at], ops.flux_index[a])
+    del div_v_hat
     _dot(ops.neg_ik, hat[2 * d : band], range(d), out[1 + d])
     for a in range(d):
         _dot(ops.neg_ik_dealias, hat[flux_at:drag_at], ops.flux_index[a], out[2 + d + a])

@@ -5,9 +5,10 @@ carries a position, a velocity, and a weight.  Characteristics are
 x' = xi, xi' = v(x) - xi with the fluid velocity interpolated linearly to
 the particles; moments come back to the grid by cloud-in-cell deposition
 (the consistent pair, so the exchanged momentum telescopes exactly).  The
-carrier fluid is advanced with the grid-only solver's fluid rates and
-guarded Runge-Kutta advance, with the coupling force -(rho_dep * v - m_dep)
-built from the deposited moments.  Alternation is by Strang splitting.
+carrier fluid is advanced with the grid-only solver's rates and guarded
+Runge-Kutta advance: ``rhs`` on the stack [n, j, rho_dep, m_dep], with the
+deposited moments frozen over the step, so the coupling force is the grid
+solver's drag rho_dep * (u_dep - v).  Alternation is by Strang splitting.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dynamics import FluidParams, fluid_rates, sound_speed_max
+from .dynamics import FluidParams, State, rhs, sound_speed_max
 from .grid import TWO_PI, Grid
 from .stepping import (
     IntegrationError,
@@ -76,7 +77,6 @@ class MomentSet:
     rho: np.ndarray
     m: np.ndarray
     theta_rho: np.ndarray  # 0.5 * deposited variance (rho * theta)
-    sigma_hat: np.ndarray  # second central moment (pressure tensor, 1-D scalar)
     q_hat: np.ndarray  # 0.5 * third central moment (energy flux)
 
 
@@ -98,9 +98,8 @@ def deposit(ens: ParticleEnsemble, grid: Grid, cell=None) -> MomentSet:
     # central moments from the raw sums, per cell
     theta_rho = 0.5 * (s2 - 2.0 * u * s1 + u * u * s0) / grid.dx
     theta_rho = np.maximum(theta_rho, 0.0)  # clip round-off negatives
-    sigma_hat = 2.0 * theta_rho
     q_hat = 0.5 * (s3 - 3.0 * u * s2 + 3.0 * u * u * s1 - u**3 * s0) / grid.dx
-    return MomentSet(rho, m, theta_rho, sigma_hat, q_hat)
+    return MomentSet(rho, m, theta_rho, q_hat)
 
 
 def push(
@@ -205,15 +204,16 @@ def kinetic_run(
 
     The fluid step is the grid solver's guarded advance (``cfg.scheme``,
     the mean(n) re-projection and the finiteness check) on (n, j) with the
-    deposited drag m_dep - rho_dep * v, dealiased, as a source, followed by
-    the min(1+n) check.  With an empty ensemble this reduces to the plain
+    grid solver's rates, with the deposited moments frozen: a stage's rates
+    are the n and j rows of ``rhs`` on [n, j, rho_dep, m_dep].  The min(1+n)
+    check follows.  With an empty ensemble this reduces to the plain
     compressible solver.  A step that leaves the admissible set ends the run
     early: the result holds the last good state and the stop status.
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
     _pin_malloc_thresholds()
-    # the fluid unknowns as one stack [n, j], the layout of fluid_rates' output
+    # the fluid unknowns as one stack [n, j], the first two rows of a state
     y = np.empty((2, grid.n))
     y[0] = n0 - np.mean(n0)
     y[1:] = j0
@@ -228,9 +228,15 @@ def kinetic_run(
     # each position set is indexed once (half's index serves the deposit and
     # the second half-push), and an index is dropped after its last use
     cell = _cell(ens.x, grid)
-    # the fluid velocity of y, made once per step: it sets dt, drives the
-    # pushes on either side of the fluid step and serves its first stage
+    # the fluid velocity of y, made once per step: it sets dt and drives the
+    # pushes on either side of the fluid step
     v = y[1:] / (1.0 + y[0])
+    # a stage's state: its fluid rows, then the deposited moments of the step
+    stage = State.of(grid, np.empty((4, grid.n)))
+
+    def rates(y_s):
+        stage.y[:2] = y_s
+        return rhs(stage, params)[:2]
 
     while t < t_end - eps:
         try:
@@ -242,12 +248,7 @@ def kinetic_run(
             half = push(ens, v[0], 0.5 * dt, grid, cell) if ens.size else ens
             cell = _cell(half.x, grid)
             # the drag reads mass and momentum only
-            rho_dep, m_dep = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
-
-            def rates(y_s):
-                v_s = v if y_s is y else y_s[1:] / (1.0 + y_s[0])
-                drag = m_dep - rho_dep * v_s if params.drag_on else None
-                return fluid_rates(grid, y_s[0], y_s[1:], v_s, params, drag)
+            stage.y[2:] = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
             y_new, _ = _rk_advance(y, rates, dt, cfg.scheme)
             n1_min = float(np.min(1.0 + y_new[0]))

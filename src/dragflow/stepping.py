@@ -263,17 +263,8 @@ def run(
             dt = min(compute_dt(state, params, cfg), t_end - t)
             new, info = step(state, params, dt, cfg.scheme)
         except IntegrationError as err:
-            # a pending record is the current (t, state): record it with the
-            # stop flag; at the first step the stop record replaces t=0's
             status = err.status
-            stop = ("stop:" + status.value,)
-            if steps == 0:
-                records[0] = replace(records[0], flags=stop + records[0].flags)
-            else:
-                if ev is None:  # no record needed the state: its only late evaluation
-                    ev = recorder.evaluate(state, grad)
-                records.append(recorder.record(t, state, flags=stop, evaluation=ev))
-            return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
+            break
 
         floor_ever = floor_ever or info.floor_active
         reproj_max = max(reproj_max, info.reprojection)
@@ -297,10 +288,15 @@ def run(
 
         if grad > ceiling:
             status = Status.GRADIENT_STEEPENING
-            flags = ("stop:" + status.value,)
-            records.append(recorder.record(t, state, flags=flags, evaluation=ev))
-            return RunResult(state, records, status, t, steps, floor_ever, reproj_max)
-        if t >= t_end - eps:
-            records.append(recorder.record(t, state, evaluation=ev))
+            break
 
+    # the end record is the last (t, state), a pending record included,
+    # flagged when the run stopped early; before the first step it is t=0's
+    flags = () if status == Status.COMPLETED else ("stop:" + status.value,)
+    if steps == 0:
+        records[0] = replace(records[0], flags=flags + records[0].flags)
+    else:
+        if ev is None:  # no record needed the state: its only late evaluation
+            ev = recorder.evaluate(state, grad)
+        records.append(recorder.record(t, state, flags=flags, evaluation=ev))
     return RunResult(state, records, status, t, steps, floor_ever, reproj_max)

@@ -15,7 +15,6 @@ from dragflow.dynamics import (
     FluidParams,
     NonPositiveDensity,
     State,
-    fluid_rates,
     grad_velocity_max,
     pressure_minus_one,
     primitive_velocity,
@@ -25,6 +24,7 @@ from dragflow.dynamics import (
 from dragflow.functionals import Recorder
 from dragflow.grid import Grid, random_band_limited
 from dragflow.initial import InitSpec, generate_initial
+from dragflow.kinetic import ParticleEnsemble, kinetic_run
 from dragflow.stepping import TimeConfig, _rk_advance, cfl_dt, compute_dt, step
 
 
@@ -253,6 +253,14 @@ def test_rhs_matches_term_by_term_operators(dim, n, drag_on):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b)), name
 
 
+def one_kinetic_step(grid, state, params):
+    """One step of the particle solver on the fluid of a 1-D ``state``,
+    with a particle on every fourth node."""
+    x = grid.coords()[0][::4].copy()
+    ens = ParticleEnsemble(x, 0.1 * np.cos(x), np.full(x.size, 0.05))
+    return kinetic_run(ens, state.n, state.j, grid, params, TimeConfig(t_end=1e-4))
+
+
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
 def test_rhs_makes_one_transform_call_each_way(dim, n):
     g = Grid(dim, n)
@@ -276,13 +284,14 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     # j, v and m are read in full, the rows after them only through the 2/3 rule
     assert bands == [(3 * dim,)]
 
-    # the fluid rates with a drag row, as a kinetic stage makes them
-    calls.clear()
-    v = state.j / (1.0 + state.n)
-    fluid_rates(g, state.n, state.j, v, FluidParams(gamma=1.4, mu=0.5), state.rho * v)
-    # j, v, p - 1, the pairs j_a v_b, the drag; then the 1 + dim rates
-    assert calls == [("forward", 3 * dim + 1 + pairs), ("inverse", 1 + dim)]
-    assert bands == [(3 * dim,), (2 * dim,)]
+    if dim == 1:  # the particle solver is 1-D only
+        # one RK4 step of it: each stage's fluid rates are one rhs call
+        calls.clear()
+        bands.clear()
+        result = one_kinetic_step(g, state, FluidParams(gamma=1.4, mu=0.5))
+        assert result.steps == 1
+        assert calls == [("forward", 7), ("inverse", 4)] * 4
+        assert bands == [(3,)] * 4
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
@@ -292,7 +301,6 @@ def test_the_solver_and_diagnostics_call_no_numpy_fft_wrapper(dim, n, monkeypatc
     g = Grid(dim, n)
     params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
     state = random_state(g, np.random.default_rng(dim))
-    v = state.j / (1.0 + state.n)
     recorder = Recorder(g, params)
 
     def wrapper(*args, **kwargs):
@@ -301,24 +309,12 @@ def test_the_solver_and_diagnostics_call_no_numpy_fft_wrapper(dim, n, monkeypatc
     for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, wrapper)
     rhs(state.copy(), params)
-    fluid_rates(g, state.n, state.j, v, params, state.rho * v)
+    if dim == 1:  # the particle solver is 1-D only
+        assert one_kinetic_step(g, state, params).steps == 1
     g.gradient(state.rho)
     recorder.evaluate(state)
     new, _ = step(state, params, 1e-4)
     assert np.all(np.isfinite(new.y))
-
-
-def test_fluid_rates_with_a_drag_row_add_the_dealiased_drag():
-    g = Grid(1, 64)
-    params = FluidParams(gamma=1.4, mu=0.5)
-    state = random_state(g, np.random.default_rng(5))
-    v = state.j / (1.0 + state.n)
-    drag = state.rho * (state.m / state.rho - v)
-    with_drag = fluid_rates(g, state.n, state.j, v, params, drag)
-    without = fluid_rates(g, state.n, state.j, v, params)
-    assert np.array_equal(with_drag[0], without[0])
-    want = without[1:] + g.dealias(drag)
-    assert np.max(np.abs(with_drag[1:] - want)) < 1e-14 * np.max(np.abs(want))
 
 
 def test_drag_antisymmetry():

@@ -268,7 +268,6 @@ def test_deposit_opposite_velocities_variance():
     assert float(np.sum(moments.m)) * g.dx == pytest.approx(0.0, abs=1e-15)
     # rho*theta = 0.5 * sum w (xi-u)^2 = 0.5 * (1) deposited at the node
     assert float(np.sum(moments.theta_rho)) * g.dx == pytest.approx(0.5, rel=1e-13)
-    assert float(np.sum(moments.sigma_hat)) * g.dx == pytest.approx(1.0, rel=1e-13)
 
 
 def test_monokinetic_deposit_small_variance():
