@@ -170,6 +170,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config(doc)
 
 

@@ -236,30 +236,6 @@ def _dot(ops: list[np.ndarray], fields: np.ndarray, rows, out: np.ndarray | None
     return out
 
 
-def _fluid_stack(
-    grid: Grid,
-    n: np.ndarray,
-    j: np.ndarray,
-    v: np.ndarray,
-    gamma: float,
-    extra: int = 0,
-    mid: int = 0,
-) -> np.ndarray:
-    """Physical fields of the fluid rates: j, v, ``mid`` unfilled slots,
-    then p - 1 and the pairs j_a v_b, followed by ``extra`` unfilled slots.
-    The rates read the rows from p - 1 on only through the 2/3 rule.  The
-    caller checks min(1+n) > 0."""
-    d = grid.dim
-    pairs = _pairs(d)
-    p_at = 2 * d + mid
-    out = np.empty((p_at + 1 + len(pairs) + extra,) + grid.shape)
-    out[:d], out[d : 2 * d] = j, v
-    pressure_minus_one(n, gamma, out[p_at])
-    for k, (a, b) in enumerate(pairs):
-        np.multiply(j[a], v[b], out=out[p_at + 1 + k])
-    return out
-
-
 def rhs(state: State, params: FluidParams) -> np.ndarray:
     """Semi-discrete rates of the coupled system in conservative variables,
     stacked as a state is: [d_n, d_j_1..d_j_d, d_rho, d_m_1..d_m_d].
@@ -283,13 +259,15 @@ def rhs(state: State, params: FluidParams) -> np.ndarray:
 
     # physical stack, the rows read in full first: j, v, m, then p - 1, the
     # pairs j_a v_b, the pairs m_a u_b and rho*(u - v)
-    band, extra = 3 * d, len(pairs) + d * params.drag_on
-    phys = _fluid_stack(g, y[0], y[1 : 1 + d], v, params.gamma, extra, d)
+    band = 3 * d
     flux_at = band + 1 + len(pairs)
     drag_at = flux_at + len(pairs)
-    m = y[2 + d :]
-    phys[2 * d : band] = m
+    j, m = y[1 : 1 + d], y[2 + d :]
+    phys = np.empty((drag_at + d * params.drag_on,) + g.shape)
+    phys[:d], phys[d : 2 * d], phys[2 * d : band] = j, v, m
+    pressure_minus_one(y[0], params.gamma, phys[band])
     for k, (a, b) in enumerate(pairs):
+        np.multiply(j[a], v[b], out=phys[band + 1 + k])
         np.multiply(m[a], u[b], out=phys[flux_at + k])
     if params.drag_on:
         np.multiply(y[1 + d], u - v, out=phys[drag_at:])

@@ -1,7 +1,8 @@
 """Functionals, exact identities, inequality checks, and decay fitting.
 
 ``Recorder.evaluate`` reads every functional and check of a state from its
-derived fields, built once; ``Recorder.record`` adds a window's residuals.
+derived fields, built once, into a ``DiagnosticsRecord`` at t = nan;
+``Recorder.record`` sets its t, its window's residuals and its flags.
 
 Every functional here integrates against the normalized measure dx/(2*pi)^dim
 (i.e. grid means), so the total fluid mass is 1, the averaged quantities are
@@ -18,7 +19,7 @@ the raw energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .dynamics import (
     NonPositiveDensity,
     State,
     _dot,
-    _fluid_stack,
     _pairs,
     gradient_norm_max,
     pressure_deviation,
+    pressure_minus_one,
     primitives,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
@@ -70,7 +71,7 @@ def _dot_sq(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# averaged quantities and the derived fields of one state
+# averaged quantities
 # ---------------------------------------------------------------------------
 
 
@@ -88,116 +89,6 @@ def averages(state: State) -> Averages:
     m_c = _mean_vec(state.m) / rho_c
     j_c = _mean_vec(state.j)
     return Averages(rho_c, m_c, j_c)
-
-
-class _Fields:
-    """Derived fields and scalars of one state, built once by ``Recorder.evaluate``.
-
-    E carries the pressure potential with coefficient 2/(gamma-1), so that
-    d(E)/dt / 2 + D = 0; E_dev is E less its equilibrium value.  E_sigma
-    adds to the fluctuation energy E_script the sigma-weighted coupling of
-    the fluid momentum fluctuation to the density through the Bogovskii
-    lift, and D_sigma = D + I4 + ... + I10 makes d(E_sigma)/dt / 2 + D_sigma = 0.
-
-    Pointwise products stay in physical space: the energies, the
-    fluctuation terms, I3, j_c', E0 and the alignment distances.  The
-    terms that pair derivatives, the Bogovskii lift ``grad(phi)`` with
-    ``laplacian(phi) = n`` or dealiased products (I1, I2, I4-I10, the
-    E_sigma cross term) are Parseval sums over the half spectrum, read from
-    one forward transform call; no inverse transform is made.  ``energies``
-    is what the state contributes to the centred differences of a residual
-    window, and ``sinks`` what the centre contributes, both in RESIDUALS
-    order.
-    """
-
-    def __init__(self, state: State, params: FluidParams, sigma: float):
-        if sigma < 0.0:
-            raise DiagnosticsError("sigma must be nonnegative")
-        g = state.grid
-        d = g.dim
-        self.n1 = 1.0 + state.n
-        self.u, self.v, self.min_n1, _ = primitives(state)
-        if self.min_n1 <= 0.0:
-            raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
-        self.n_bar = float(self.n1.max())
-        self.av = av = averages(state)
-        bshape = (-1,) + (1,) * d
-        du = self.u - av.m_c.reshape(bshape)
-        dv = self.v - av.j_c.reshape(bshape)
-        diff = self.u - self.v
-
-        # physical stack: j, v, p - 1, the pairs j_a v_b, then n and rho (u - v)
-        pairs = _pairs(d)
-        phys = _fluid_stack(g, state.n, state.j, self.v, params.gamma, 1 + d)
-        at = 2 * d + 1 + len(pairs)
-        phys[at] = state.n
-        np.multiply(state.rho, diff, out=phys[at + 1 :])
-        self.pdev = phys[2 * d] - params.gamma * state.n
-        self.jc_prime = _mean_vec(phys[at + 1 :])
-        hat = g._fft(phys)
-        del phys
-        jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
-        flux_hat, nhat, drag_hat = hat[2 * d + 1 : at], hat[at], hat[at + 1 :]
-
-        self.fluct_p = _mean(state.rho * _dot_sq(du))
-        self.fluct_f = _mean(self.n1 * _dot_sq(dv))
-        self.gap_sq = float(np.sum((av.m_c - av.j_c) ** 2))
-        self.L_p = self.fluct_p + self.fluct_f + self.gap_sq
-        self.L = self.L_p + _mean(state.n * state.n)
-        # mean of f(1+n; 1), via the cancellation-free deviation identity
-        self.potential = _mean(self.pdev) / (params.gamma - 1.0)
-        ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, VACUUM_FLOOR))
-        self.E_dev = ke_p + _mean(_dot_sq(state.j) / self.n1) + 2.0 * self.potential
-        self.E = self.E_dev + 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
-        self.E_script = self.fluct_p + self.fluct_f + 2.0 * self.potential + (
-            av.rho_c / (1.0 + av.rho_c) * self.gap_sq
-        )
-
-        # |grad v|^2 and (div v)^2: d_b pairs with d_b to k_b^2
-        div_v_hat = _dot(g._ik, vhat, range(d))
-        self.i1 = params.mu * float(g.inner(vhat, g._k2 * vhat).sum())
-        self.i2 = (params.mu + params.lam) * float(g.inner(div_v_hat, div_v_hat))
-        self.i3 = _mean(state.rho * _dot_sq(diff))
-        self.D = self.i1 + self.i2 + self.i3
-
-        self.E_sigma, extra = self.E_script, (0.0,) * 7
-        if sigma > 0.0:
-            lift = g._lift(nhat)
-            # (1+n) dv = j - j_c (1+n); the lifts have no k = 0 mode to meet j_c
-            dv1 = jhat - av.j_c.reshape(bshape) * nhat
-            div_j = _dot(g._ik, jhat, range(d))
-            # the Hessian of phi is d_b of the lift, symmetric like the flux;
-            # the first pair is (0, 0), of weight 1
-            flux_hess = g.inner(flux_hat[0], g._ik_dealias[0] * lift[0])
-            for k, (a, b) in enumerate(pairs[1:], start=1):
-                weight = 1.0 if a == b else 2.0
-                flux_hess += weight * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
-            self.E_sigma -= 2.0 * sigma * float(g.inner(dv1, lift).sum())
-            # I4-I10; grad v meets the Hessian as in I1, d_b with d_b to k_b^2
-            extra = (
-                sigma * float(flux_hess),
-                sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
-                -sigma * params.mu * float(g.inner(vhat, g._k2 * lift).sum()),
-                -sigma * (params.mu + params.lam) * float(g.inner(div_v_hat, nhat)),
-                sigma * float(g.inner(drag_hat, g._dealias_keep * lift).sum()),
-                -sigma * float(g.inner(dv1, g._lift(div_j)).sum()),
-                # mean((1+n) lift) = mean(n lift): the lift has mean zero
-                -sigma * (-float(np.dot(av.j_c, g.inner(div_j, lift)))
-                          + float(np.dot(self.jc_prime, g.inner(nhat, lift)))),
-            )
-        self.D_sigma = self.D
-        for val in extra:
-            self.D_sigma += val
-
-        self.energies = (self.E_dev, self.E_sigma, self.fluct_p,
-                         self.fluct_f + 2.0 * self.potential, self.gap_sq)
-        self.sinks = (
-            self.D,
-            self.D_sigma,
-            _mean(state.rho * np.sum(du * diff, axis=0)),
-            (self.i1 + self.i2) - _mean(state.rho * np.sum(dv * diff, axis=0)),
-            (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, self.jc_prime)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +227,8 @@ def decay_fit(times, values, window: tuple[float, float] | None = None) -> Decay
         window = (lo, t[-1])
     sel = (t >= window[0]) & (t <= window[1])
     t, y = t[sel], y[sel]
-    if len(t) < 10 or np.any(y <= 0.0):
-        raise NonPositiveValues("need >= 10 records with positive values in window")
+    if len(t) < 10 or not np.all(np.isfinite(y) & (y > 0.0)):
+        raise NonPositiveValues("need >= 10 records with finite positive values in window")
     logy = np.log(y)
     slope, intercept = np.polyfit(t, logy, 1)
     fitted = slope * t + intercept
@@ -423,6 +314,10 @@ class Functionals:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One record.  ``energies`` is the state's share of the centred
+    differences of a residual window, ``sinks`` the centre's share, both in
+    RESIDUALS order."""
+
     t: float
     averages: Averages
     functionals: Functionals
@@ -430,25 +325,9 @@ class DiagnosticsRecord:
     mom_total: np.ndarray
     residuals: dict
     checks: dict
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """What the records take from one state: scalars and dim-vectors, no fields.
-
-    ``energies`` is the state's share of the centred differences of a
-    residual window, ``sinks`` the centre's share, both in RESIDUALS order.
-    """
-
-    averages: Averages
-    functionals: Functionals
-    mass_n: float
-    mom_total: np.ndarray
-    checks: dict
+    flags: tuple[str, ...]
     energies: tuple[float, ...]
     sinks: tuple[float, ...]
-    flags: tuple[str, ...]
 
 
 class Recorder:
@@ -467,25 +346,128 @@ class Recorder:
         params: FluidParams,
         sigma: float | None = None,
     ):
+        if sigma is not None and sigma < 0.0:
+            raise DiagnosticsError("sigma must be nonnegative")
         self.grid = grid
         self.params = params
-        self._sigma_override = sigma
-        self.sigma: float | None = None
-        self.averages0: Averages | None = None
+        self.sigma = sigma
         self.e0: float | None = None
         self._target: np.ndarray | None = None
 
-    def evaluate(self, state: State, grad_u_max: float | None = None) -> Evaluation:
-        """Every scalar a record takes from ``state``.  ``grad_u_max`` is the
-        state's ``grad_velocity_max`` when the caller has it already."""
+    def evaluate(self, state: State, grad_u_max: float | None = None) -> DiagnosticsRecord:
+        """Every scalar a record takes from ``state``, as a record at t = nan
+        with nan residuals.  ``grad_u_max`` is the state's
+        ``grad_velocity_max`` when the caller has it already.
+
+        The state's fields are derived once.  E carries the pressure
+        potential with coefficient 2/(gamma-1), so that d(E)/dt / 2 + D = 0;
+        E_dev is E less its equilibrium value.  E_sigma adds to the
+        fluctuation energy E_script the sigma-weighted coupling of the fluid
+        momentum fluctuation to the density through the Bogovskii lift, and
+        D_sigma = D + I4 + ... + I10 makes d(E_sigma)/dt / 2 + D_sigma = 0.
+
+        Pointwise products stay in physical space: the energies, the
+        fluctuation terms, I3, j_c', E0 and the alignment distances.  The
+        terms that pair derivatives, the Bogovskii lift ``grad(phi)`` with
+        ``laplacian(phi) = n`` or dealiased products (I1, I2, I4-I10, the
+        E_sigma cross term) are Parseval sums over the half spectrum, read
+        from one forward transform call; no inverse transform is made.
+        """
         params = self.params
         if self.sigma is None:
-            self.sigma = self._sigma_override
-            if self.sigma is None:
-                self.sigma = sigma_default(state, params)
-        f = _Fields(state, params, self.sigma)
-        if self.averages0 is None:
-            self.averages0, self._target, self.e0 = f.av, alignment_target(f.av), f.E
+            self.sigma = sigma_default(state, params)
+        sigma, g = self.sigma, self.grid
+        d = g.dim
+        n1 = 1.0 + state.n
+        u, v, min_n1, _ = primitives(state)
+        if min_n1 <= 0.0:
+            raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
+        n_bar = float(n1.max())
+        av = averages(state)
+        bshape = (-1,) + (1,) * d
+        du = u - av.m_c.reshape(bshape)
+        dv = v - av.j_c.reshape(bshape)
+        diff = u - v
+
+        # physical stack: j, v, p - 1, the pairs j_a v_b, then n and rho (u - v)
+        pairs = _pairs(d)
+        at = 2 * d + 1 + len(pairs)
+        phys = np.empty((at + 1 + d,) + g.shape)
+        phys[:d], phys[d : 2 * d] = state.j, v
+        pressure_minus_one(state.n, params.gamma, phys[2 * d])
+        for k, (a, b) in enumerate(pairs, start=2 * d + 1):
+            np.multiply(state.j[a], v[b], out=phys[k])
+        phys[at] = state.n
+        np.multiply(state.rho, diff, out=phys[at + 1 :])
+        pdev = phys[2 * d] - params.gamma * state.n
+        jc_prime = _mean_vec(phys[at + 1 :])
+        hat = g._fft(phys)
+        del phys
+        jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
+        flux_hat, nhat, drag_hat = hat[2 * d + 1 : at], hat[at], hat[at + 1 :]
+
+        fluct_p = _mean(state.rho * _dot_sq(du))
+        fluct_f = _mean(n1 * _dot_sq(dv))
+        gap_sq = float(np.sum((av.m_c - av.j_c) ** 2))
+        L_p = fluct_p + fluct_f + gap_sq
+        L = L_p + _mean(state.n * state.n)
+        # mean of f(1+n; 1), via the cancellation-free deviation identity
+        potential = _mean(pdev) / (params.gamma - 1.0)
+        ke_p = _mean(_dot_sq(state.m) / np.maximum(state.rho, VACUUM_FLOOR))
+        E_dev = ke_p + _mean(_dot_sq(state.j) / n1) + 2.0 * potential
+        E = E_dev + 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
+        E_script = fluct_p + fluct_f + 2.0 * potential + (av.rho_c / (1.0 + av.rho_c) * gap_sq)
+
+        # |grad v|^2 and (div v)^2: d_b pairs with d_b to k_b^2
+        div_v_hat = _dot(g._ik, vhat, range(d))
+        i1 = params.mu * float(g.inner(vhat, g._k2 * vhat).sum())
+        i2 = (params.mu + params.lam) * float(g.inner(div_v_hat, div_v_hat))
+        i3 = _mean(state.rho * _dot_sq(diff))
+        D = i1 + i2 + i3
+
+        E_sigma, extra = E_script, (0.0,) * 7
+        if sigma > 0.0:
+            lift = g._lift(nhat)
+            # (1+n) dv = j - j_c (1+n); the lifts have no k = 0 mode to meet j_c
+            dv1 = jhat - av.j_c.reshape(bshape) * nhat
+            div_j = _dot(g._ik, jhat, range(d))
+            # the Hessian of phi is d_b of the lift, symmetric like the flux;
+            # the first pair is (0, 0), of weight 1
+            flux_hess = g.inner(flux_hat[0], g._ik_dealias[0] * lift[0])
+            for k, (a, b) in enumerate(pairs[1:], start=1):
+                weight = 1.0 if a == b else 2.0
+                flux_hess += weight * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
+            E_sigma -= 2.0 * sigma * float(g.inner(dv1, lift).sum())
+            # I4-I10; grad v meets the Hessian as in I1, d_b with d_b to k_b^2
+            extra = (
+                sigma * float(flux_hess),
+                sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
+                -sigma * params.mu * float(g.inner(vhat, g._k2 * lift).sum()),
+                -sigma * (params.mu + params.lam) * float(g.inner(div_v_hat, nhat)),
+                sigma * float(g.inner(drag_hat, g._dealias_keep * lift).sum()),
+                -sigma * float(g.inner(dv1, g._lift(div_j)).sum()),
+                # mean((1+n) lift) = mean(n lift): the lift has mean zero
+                -sigma * (-float(np.dot(av.j_c, g.inner(div_j, lift)))
+                          + float(np.dot(jc_prime, g.inner(nhat, lift)))),
+            )
+            del lift, dv1, div_j
+        D_sigma = D
+        for val in extra:
+            D_sigma += val
+
+        energies = (E_dev, E_sigma, fluct_p, fluct_f + 2.0 * potential, gap_sq)
+        sinks = (
+            D,
+            D_sigma,
+            _mean(state.rho * np.sum(du * diff, axis=0)),
+            (i1 + i2) - _mean(state.rho * np.sum(dv * diff, axis=0)),
+            (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, jc_prime)),
+        )
+        # the spectral and fluctuation work arrays are dropped before the
+        # rest of the record allocates: the 2-D and 3-D transient footprint
+        del hat, jhat, vhat, p1hat, flux_hat, nhat, drag_hat, div_v_hat, du, dv, diff
+        if self.e0 is None:
+            self._target, self.e0 = alignment_target(av), E
 
         # the mean of the fluid's energy density
         # E0 = ((1+n)^gamma - 1 - gamma n)/(gamma-1) + (1+n)|v|^2 / 2,
@@ -495,51 +477,52 @@ class Recorder:
             e0_int = math.nan
             flags = ("e0_hypothesis",)
         else:
-            e0_int = _mean(f.pdev / (params.gamma - 1.0) + 0.5 * f.n1 * _dot_sq(f.v))
+            e0_int = _mean(pdev / (params.gamma - 1.0) + 0.5 * n1 * _dot_sq(v))
         if grad_u_max is None:
-            grad_u_max = gradient_norm_max(self.grid, f.u)
-        tgt = self._target.reshape((-1,) + (1,) * self.grid.dim)
+            grad_u_max = gradient_norm_max(g, u)
+        tgt = self._target.reshape(bshape)
         funcs = Functionals(
-            E=f.E,
-            D=f.D,
-            L=f.L,
-            L_p=f.L_p,
-            E_script=f.E_script,
-            E_sigma=f.E_sigma,
-            D_sigma=f.D_sigma,
+            E=E,
+            D=D,
+            L=L,
+            L_p=L_p,
+            E_script=E_script,
+            E_sigma=E_sigma,
+            D_sigma=D_sigma,
             E0_integral=e0_int,
-            sigma=self.sigma,
+            sigma=sigma,
             min_rho=state.min_rho(),
-            min_n1=f.min_n1,
+            min_n1=min_n1,
             grad_u_max=grad_u_max,
-            E_dev=f.E_dev,
-            u_align_dist=float(np.max(np.sqrt(_dot_sq(f.u - tgt)))),
-            v_align_dist=float(np.max(np.sqrt(_dot_sq(f.v - tgt)))),
+            E_dev=E_dev,
+            u_align_dist=float(np.max(np.sqrt(_dot_sq(u - tgt)))),
+            v_align_dist=float(np.max(np.sqrt(_dot_sq(v - tgt)))),
         )
 
         # L_p <= C * D with the explicit constant (Poincare constant 1),
         # rho_bar = max rho and n_bar = max (1+n) over the grid
-        rho_c, n_bar = f.av.rho_c, f.n_bar
+        rho_c = av.rho_c
         rho_bar = float(np.max(state.rho))
         c_expl = (2.0 / min(1.0, rho_c)) * max(
             1.0, 2.0 * (3.0 * (rho_c * n_bar + rho_bar) + n_bar) / params.mu
         )
         bounds = _bounds_above(n_bar, params.gamma)
-        c1, c2 = _equivalence(rho_c, n_bar, bounds, self.sigma)
+        c1, c2 = _equivalence(rho_c, n_bar, bounds, sigma)
         # |j_c|^2 <= E(0) and |j_c'|^2 <= rho_c * mean(rho|u-v|^2)
         checks = {
-            "jc_momentum_slack": self.e0 - float(np.sum(f.av.j_c**2)),
-            "jc_rate_slack": rho_c * f.i3 - float(np.sum(f.jc_prime**2)),
+            "jc_momentum_slack": self.e0 - float(np.sum(av.j_c**2)),
+            "jc_rate_slack": rho_c * i3 - float(np.sum(jc_prime**2)),
             "domination_C": c_expl,
-            "domination_slack": c_expl * f.D - f.L_p,
+            "domination_slack": c_expl * D - L_p,
             "equiv_c1": c1,
             "equiv_c2": c2,
-            "equiv_lower_slack": funcs.E_sigma - c1 * funcs.L,
-            "equiv_upper_slack": c2 * funcs.L - funcs.E_sigma,
+            "equiv_lower_slack": E_sigma - c1 * L,
+            "equiv_upper_slack": c2 * L - E_sigma,
         }
         mom_total = _mean_vec(state.m) + _mean_vec(state.j)
-        return Evaluation(
-            f.av, funcs, _mean(state.n), mom_total, checks, f.energies, f.sinks, flags
+        return DiagnosticsRecord(
+            math.nan, av, funcs, _mean(state.n), mom_total,
+            dict.fromkeys(RESIDUALS, math.nan), checks, flags, energies, sinks,
         )
 
     def record(
@@ -548,7 +531,7 @@ class Recorder:
         state: State,
         window=None,
         flags: tuple[str, ...] = (),
-        evaluation: Evaluation | None = None,
+        evaluation: DiagnosticsRecord | None = None,
     ) -> DiagnosticsRecord:
         """The record of ``state`` at time t; ``evaluation`` is
         ``self.evaluate(state)`` when the caller has it already.
@@ -560,7 +543,7 @@ class Recorder:
         ev = evaluation if evaluation is not None else self.evaluate(state)
         flags = flags + ev.flags
         if window is None:
-            residuals = dict.fromkeys(RESIDUALS, math.nan)
+            residuals = ev.residuals
             flags = flags + ("endpoint",)
         else:
             (h0, before), (h1, after) = window
@@ -573,6 +556,4 @@ class Recorder:
             del watched["E0_integral"]
         if not all(math.isfinite(v) for v in watched.values()):
             flags = flags + ("nonfinite",)
-        return DiagnosticsRecord(
-            t, ev.averages, ev.functionals, ev.mass_n, ev.mom_total, residuals, ev.checks, flags
-        )
+        return replace(ev, t=t, residuals=residuals, flags=flags)

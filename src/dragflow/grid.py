@@ -70,7 +70,6 @@ class Grid:
         self.dx = TWO_PI / n
         self.shape = (n,) * dim
         self.volume = TWO_PI**dim
-        self.cell_volume = self.dx**dim
 
         self._axes = tuple(range(-dim, 0))
         self._half_shape = self.shape[:-1] + (n // 2 + 1,)

@@ -67,6 +67,17 @@ def test_run_malformed_amplitude_exits_2(tmp_path, capsys):
     assert "initial_data.amplitudes.rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00{")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, params={"gamma": 1e6})

@@ -395,6 +395,11 @@ def test_sigma_default_positive_and_admissible():
     assert sigma <= 0.5 * fn.sigma_admissible_max(state, PARAMS)
 
 
+def test_negative_sigma_is_rejected_when_the_recorder_is_built():
+    with pytest.raises(fn.DiagnosticsError, match="nonnegative"):
+        fn.Recorder(Grid(1, 32), PARAMS, sigma=-0.1)
+
+
 # -- pointwise energy density -------------------------------------------------
 
 
@@ -534,6 +539,15 @@ def test_decay_fit_rejects_nonpositive():
         fn.decay_fit(t[:5], vals[:5], window=(0.0, 1.0))
 
 
+def test_decay_fit_rejects_nonfinite():
+    # an overflowing E_sigma series reaches the fit as inf, or nan after it
+    t = np.linspace(0.0, 5.0, 50)
+    vals = np.exp(-t)
+    vals[20], vals[30] = math.nan, math.inf
+    with pytest.raises(fn.NonPositiveValues, match="finite positive"):
+        fn.decay_fit(t, vals, window=(0.0, 5.0))
+
+
 def test_decay_fit_default_window_drops_transient():
     t = np.linspace(0.0, 10.0, 100)
     vals = np.exp(-0.5 * t)
@@ -639,6 +653,23 @@ def test_windowed_record_matches_public_functionals(dim, points):
     assert got.averages.rho_c == pytest.approx(av.rho_c, rel=1e-14, abs=0.0)
     np.testing.assert_allclose(got.averages.m_c, av.m_c, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(got.averages.j_c, av.j_c, rtol=1e-14, atol=0.0)
+
+
+def test_evaluate_returns_a_record_that_record_completes():
+    # evaluate reads the state into a record at t = nan with nan residuals;
+    # record sets t, the window's residuals and the flags, and nothing else
+    g = Grid(2, 16)
+    rng = np.random.default_rng(11)
+    rec = fn.Recorder(g, PARAMS)
+    states = [random_small_state(g, rng) for _ in range(3)]
+    before, center, after = (rec.evaluate(state) for state in states)
+    assert math.isnan(center.t) and center.flags == ()
+    assert all(math.isnan(value) for value in center.residuals.values())
+    got = rec.record(0.2, states[1], window=((0.01, before), (0.01, after)), evaluation=center)
+    assert got.t == 0.2 and got.flags == ()
+    assert all(math.isfinite(value) for value in got.residuals.values())
+    for name in ("averages", "functionals", "mass_n", "mom_total", "checks", "energies", "sinks"):
+        assert getattr(got, name) is getattr(center, name), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
