@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 run failure (inadmissible
 or unreadable initial data included), 4 validation failure.  A study runs
-its amplitudes one after another.
+its amplitudes one after another.  ``main`` maps every failure, with one
+line on stderr: a ``ConfigError`` exits 2, any other ``ValueError`` (the
+package's refusals) or an ``OSError`` (unwritable output) exits 3.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .functionals import (
     decay_fit,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid, random_band_limited
-from .initial import InadmissibleInit, generate_initial
+from .initial import generate_initial
 from .stepping import RunResult, Status, run
 
 EXIT_OK = 0
@@ -35,10 +37,17 @@ EXIT_RUN = 3
 EXIT_VALIDATION = 4
 
 
-def _build(cfg: RunConfig, seed: int | None):
+def _load(args) -> RunConfig:
+    """The config at ``--config``, its seed replaced by ``--seed`` when given."""
+    cfg = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _build(cfg: RunConfig):
     grid = Grid(cfg.grid.dim, cfg.grid.points_per_axis)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    state = generate_initial(cfg.initial_data, grid, rng)
+    state = generate_initial(cfg.initial_data, grid, np.random.default_rng(cfg.seed))
     recorder = Recorder(grid, cfg.params, sigma=cfg.sigma_override)
     return grid, state, recorder
 
@@ -70,19 +79,13 @@ class _SnapshottingRecorder:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        grid, state, recorder = _build(cfg, args.seed)
-        snap = None
-        if cfg.outputs.snapshots_path:
-            snap_dir = _out_path(args.out, cfg.outputs.snapshots_path)
-            snap = _SnapshottingRecorder(
-                recorder, snap_dir, cfg.outputs.snapshot_every or 10**9
-            )
-        result = run(state, cfg.params, cfg.time, snap or recorder)
-    except (InadmissibleInit, ValueError) as err:
-        print(f"run failed during setup: {err}", file=sys.stderr)
-        return EXIT_RUN
+    cfg = _load(args)
+    grid, state, recorder = _build(cfg)
+    snap = None
+    if cfg.outputs.snapshots_path:
+        snap_dir = _out_path(args.out, cfg.outputs.snapshots_path)
+        snap = _SnapshottingRecorder(recorder, snap_dir, cfg.outputs.snapshot_every or 10**9)
+    result = run(state, cfg.params, cfg.time, snap or recorder)
 
     records_path = _out_path(args.out, cfg.outputs.records_path)
     recordio.write_records(records_path, result.records, grid.dim)
@@ -144,10 +147,10 @@ def _series(result: RunResult, name: str) -> np.ndarray:
     return np.array([getattr(r.functionals, name) for r in result.records])
 
 
-def run_validation(cfg: RunConfig, seed: int | None) -> tuple[_Report, RunResult | None]:
+def run_validation(cfg: RunConfig) -> tuple[_Report, RunResult | None]:
     report = _Report()
-    grid, state, recorder = _build(cfg, seed)
-    _spectral_suite(report, grid, cfg.seed if seed is None else seed)
+    grid, state, recorder = _build(cfg)
+    _spectral_suite(report, grid, cfg.seed)
     result = run(state, cfg.params, cfg.time, recorder)
     report.check(
         "run.completed",
@@ -231,8 +234,7 @@ def run_validation(cfg: RunConfig, seed: int | None) -> tuple[_Report, RunResult
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    report, result = run_validation(cfg, args.seed)
+    report, result = run_validation(_load(args))
     ok = report.emit()
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -254,7 +256,7 @@ def _parse_amplitudes(text: str) -> list[float]:
 
 
 def cmd_decay_study(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args)
     amplitudes = _parse_amplitudes(args.amplitudes)
 
     def one_row(amp: float) -> dict:
@@ -264,7 +266,7 @@ def cmd_decay_study(args) -> int:
             amplitudes={k: amp for k in ("rho", "u", "n", "v")},
         )
         try:
-            _, state, recorder = _build(replace(cfg, initial_data=spec), args.seed)
+            _, state, recorder = _build(replace(cfg, initial_data=spec))
             result = run(state, cfg.params, cfg.time, recorder)
             if result.status != Status.COMPLETED:
                 row["status"] = result.status.value
@@ -283,7 +285,7 @@ def cmd_decay_study(args) -> int:
             )
         except NonPositiveValues:
             row["status"] = "non_positive_values"
-        except (InadmissibleInit, ValueError) as err:
+        except ValueError as err:
             row["status"] = f"error: {err}"
         return row
 
@@ -308,26 +310,17 @@ def cmd_decay_study(args) -> int:
 
 
 def cmd_kinetic_compare(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args)
     if cfg.grid.dim != 1:
-        print("kinetic-compare requires dim = 1", file=sys.stderr)
-        return EXIT_CONFIG
-    t_sample = cfg.kinetic.compare_time
-    particles = cfg.kinetic.particles
+        raise ConfigError("kinetic-compare requires grid.dim = 1")
+    tcfg = replace(cfg.time, t_end=cfg.kinetic.compare_time, record_every=10**9)
 
     def once(n_grid: int, n_particles: int) -> kinetic.CompareOutcome:
-        grid = Grid(1, n_grid)
-        rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
-        state0 = generate_initial(cfg.initial_data, grid, rng)
-        tcfg = replace(cfg.time, t_end=t_sample, record_every=10**9)
+        grid, state0, _ = _build(replace(cfg, grid=replace(cfg.grid, points_per_axis=n_grid)))
         return kinetic.compare_once(grid, state0, cfg.params, tcfg, n_particles)
 
-    try:
-        base = once(cfg.grid.points_per_axis, particles)
-        fine = once(2 * cfg.grid.points_per_axis, 4 * particles)
-    except kinetic.KineticError as err:
-        print(f"kinetic-compare failed: {err}", file=sys.stderr)
-        return EXIT_RUN
+    base = once(cfg.grid.points_per_axis, cfg.kinetic.particles)
+    fine = once(2 * cfg.grid.points_per_axis, 4 * cfg.kinetic.particles)
     ratio = fine.rel_diff / base.rel_diff if base.rel_diff > 0 else math.inf
     print(f"base.rel_diff {base.rel_diff!r}")
     print(f"base.diff_rho {base.diff_rho!r}")
@@ -343,10 +336,10 @@ def cmd_kinetic_compare(args) -> int:
 
 
 def cmd_bogovskii_test(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args)
     grid = Grid(cfg.grid.dim, cfg.grid.points_per_axis)
     report = _Report()
-    _spectral_suite(report, grid, cfg.seed if args.seed is None else args.seed)
+    _spectral_suite(report, grid, cfg.seed)
     ok = report.emit()
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -407,8 +400,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except InadmissibleInit as err:
-        print(f"inadmissible initial data: {err}", file=sys.stderr)
+    except (ValueError, OSError) as err:
+        print(f"{args.command} failed: {err}", file=sys.stderr)
         return EXIT_RUN
 
 

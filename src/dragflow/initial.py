@@ -42,10 +42,12 @@ class InitSpec:
         return float(self.phases.get(name, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_initial(
     spec: InitSpec, grid: Grid, rng: np.random.Generator | None = None
 ) -> State:
     """Build a State from an init description; conservative variables formed exactly.
+    Data that overflow are refused by ``State.validate``, without a warning.
 
     single_mode: rho = base + a*cos(x1 + ph), u = b*sin(x1 + ph) e1,
     n = c*cos(x1 + ph), v = d*sin(x1 + ph) e1.  multi_mode superposes the

@@ -202,41 +202,42 @@ def kinetic_run(
     """Strang-split coupled advance: half particle push, fluid step with
     frozen deposited moments, half push with the updated fluid velocity.
 
-    The fluid step is the grid solver's guarded advance (``cfg.scheme``,
-    the mean(n) re-projection and the finiteness check) on (n, j) with the
-    grid solver's rates, with the deposited moments frozen: a stage's rates
-    are the n and j rows of ``rhs`` on [n, j, rho_dep, m_dep].  The min(1+n)
-    check follows.  With an empty ensemble this reduces to the plain
-    compressible solver.  A step that leaves the admissible set ends the run
-    early: the result holds the last good state and the stop status.
+    One stack, the 1-D state [n, j, rho_dep, m_dep], holds the fluid and
+    the step's deposited moments (the t = 0 deposit at the start, which
+    ``State.validate`` checks as ``run`` does).  The fluid step is the grid
+    solver's guarded advance (``cfg.scheme``, the mean(n) re-projection and
+    the finiteness check) with ``rhs`` as rates, rows 2-3 zeroed so the
+    deposit stays frozen bit for bit; the min(1+n) check follows.  With an
+    empty ensemble this reduces to the plain compressible solver.  A step
+    that leaves the admissible set ends the run early: the result holds the
+    last good state and the stop status.
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
     _pin_malloc_thresholds()
-    # the fluid unknowns as one stack [n, j], the first two rows of a state
-    y = np.empty((2, grid.n))
-    y[0] = n0 - np.mean(n0)
-    y[1:] = j0
-    t = 0.0
-    steps = 0
-    samples: list[KineticSample] = [
-        KineticSample(0.0, deposit(ens, grid), y[0].copy(), y[1:].copy())
-    ]
-    status = Status.COMPLETED
-    t_end = cfg.t_end
-    eps = 1e-12 * max(1.0, t_end)
     # each position set is indexed once (half's index serves the deposit and
     # the second half-push), and an index is dropped after its last use
     cell = _cell(ens.x, grid)
+    moments = deposit(ens, grid, cell)
+    y = np.empty((4, grid.n))
+    y[0] = n0 - np.mean(n0)
+    y[1:2] = j0
+    y[2], y[3] = moments.rho, moments.m
+    State.of(grid, y).validate()
+    t = 0.0
+    steps = 0
+    samples = [KineticSample(0.0, moments, y[0].copy(), y[1:2].copy())]
+    status = Status.COMPLETED
+    t_end = cfg.t_end
+    eps = 1e-12 * max(1.0, t_end)
     # the fluid velocity of y, made once per step: it sets dt and drives the
     # pushes on either side of the fluid step
-    v = y[1:] / (1.0 + y[0])
-    # a stage's state: its fluid rows, then the deposited moments of the step
-    stage = State.of(grid, np.empty((4, grid.n)))
+    v = y[1:2] / (1.0 + y[0])
 
     def rates(y_s):
-        stage.y[:2] = y_s
-        return rhs(stage, params)[:2]
+        k = rhs(State.of(grid, y_s), params)
+        k[2:] = 0.0
+        return k
 
     while t < t_end - eps:
         try:
@@ -248,7 +249,7 @@ def kinetic_run(
             half = push(ens, v[0], 0.5 * dt, grid, cell) if ens.size else ens
             cell = _cell(half.x, grid)
             # the drag reads mass and momentum only
-            stage.y[2:] = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
+            y[2:] = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
             y_new, _ = _rk_advance(y, rates, dt, cfg.scheme)
             n1_min = float(np.min(1.0 + y_new[0]))
@@ -258,16 +259,16 @@ def kinetic_run(
             status = err.status
             break
         y = y_new
-        v = y[1:] / (1.0 + y[0])
+        v = y[1:2] / (1.0 + y[0])
         ens = push(half, v[0], 0.5 * dt, grid, cell) if ens.size else half
         del half, cell
         cell = _cell(ens.x, grid)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:
-            samples.append(KineticSample(t, deposit(ens, grid, cell), y[0].copy(), y[1:].copy()))
+            samples.append(KineticSample(t, deposit(ens, grid, cell), y[0].copy(), y[1:2].copy()))
 
-    return KineticRunResult(ens, y[0], y[1:], t, steps, samples, status)
+    return KineticRunResult(ens, y[0], y[1:2], t, steps, samples, status)
 
 
 # ---------------------------------------------------------------------------

@@ -27,61 +27,55 @@ SNAPSHOT_MAGIC = b"DAF1"
 _HEADER = struct.Struct("<4sIId12x")  # magic, dim, n, time; padded to 32 bytes
 assert _HEADER.size == 32
 
-_COLUMN_DOC = {
-    "t": "record time",
-    "mass_rho": "mean particle density (conserved)",
-    "mass_n": "mean fluid density perturbation (held at zero)",
-    "mom_total": "mean total momentum, one column per axis (conserved)",
-    "E": "total energy",
-    "D": "dissipation rate functional",
-    "L": "momentum/mass fluctuation functional",
-    "L_p": "fluctuation functional without the density term",
-    "E_script": "interacting energy-variation",
-    "E_sigma": "corrected interacting energy (sigma fixed per run)",
-    "D_sigma": "corrected dissipation matching E_sigma",
-    "m_c": "mean particle velocity, one column per axis",
-    "j_c": "mean fluid momentum, one column per axis",
-    "rho_c": "total particle mass (unit-mass measure)",
-    "min_rho": "grid minimum of the particle density",
-    "min_n1": "grid minimum of the fluid density 1+n",
-    "grad_u_max": "grid max of |grad u| (steepening monitor)",
-    "res_energy": "centered residual of the energy balance (nan at endpoints)",
-    "res_esigma": "centered residual of the corrected-energy balance",
-    "flags": "semicolon-joined status tokens (may be empty)",
-}
+# the columns: name, whether it has one column <name>_<axis> per axis, doc, value
+_SCHEMA = (
+    ("t", False, "record time", lambda r: r.t),
+    ("mass_rho", False, "mean particle density (conserved)", lambda r: r.averages.rho_c),
+    ("mass_n", False, "mean fluid density perturbation (held at zero)", lambda r: r.mass_n),
+    ("mom_total", True, "mean total momentum, one column per axis (conserved)",
+     lambda r: r.mom_total),
+    ("E", False, "total energy", lambda r: r.functionals.E),
+    ("D", False, "dissipation rate functional", lambda r: r.functionals.D),
+    ("L", False, "momentum/mass fluctuation functional", lambda r: r.functionals.L),
+    ("L_p", False, "fluctuation functional without the density term", lambda r: r.functionals.L_p),
+    ("E_script", False, "interacting energy-variation", lambda r: r.functionals.E_script),
+    ("E_sigma", False, "corrected interacting energy (sigma fixed per run)",
+     lambda r: r.functionals.E_sigma),
+    ("D_sigma", False, "corrected dissipation matching E_sigma", lambda r: r.functionals.D_sigma),
+    ("m_c", True, "mean particle velocity, one column per axis", lambda r: r.averages.m_c),
+    ("j_c", True, "mean fluid momentum, one column per axis", lambda r: r.averages.j_c),
+    ("rho_c", False, "total particle mass (unit-mass measure)", lambda r: r.averages.rho_c),
+    ("min_rho", False, "grid minimum of the particle density", lambda r: r.functionals.min_rho),
+    ("min_n1", False, "grid minimum of the fluid density 1+n", lambda r: r.functionals.min_n1),
+    ("grad_u_max", False, "grid max of |grad u| (steepening monitor)",
+     lambda r: r.functionals.grad_u_max),
+    ("res_energy", False, "centered residual of the energy balance (nan at endpoints)",
+     lambda r: r.residuals["energy_balance"]),
+    ("res_esigma", False, "centered residual of the corrected-energy balance",
+     lambda r: r.residuals["esigma_balance"]),
+    ("flags", False, "semicolon-joined status tokens (may be empty)", lambda r: ";".join(r.flags)),
+)
 
 
 def _columns(dim: int) -> list[str]:
-    cols = ["t", "mass_rho", "mass_n"]
-    cols += [f"mom_total_{a}" for a in range(dim)]
-    cols += ["E", "D", "L", "L_p", "E_script", "E_sigma", "D_sigma"]
-    cols += [f"m_c_{a}" for a in range(dim)]
-    cols += [f"j_c_{a}" for a in range(dim)]
-    cols += ["rho_c", "min_rho", "min_n1", "grad_u_max", "res_energy", "res_esigma", "flags"]
-    return cols
+    axes = [f"_{a}" for a in range(dim)]
+    return [name + s for name, per_axis, _, _ in _SCHEMA for s in (axes if per_axis else [""])]
 
 
 def record_row(rec: DiagnosticsRecord, dim: int) -> list:
-    f = rec.functionals
-    row: list = [rec.t, rec.averages.rho_c, rec.mass_n]
-    row += [float(p) for p in rec.mom_total]
-    row += [f.E, f.D, f.L, f.L_p, f.E_script, f.E_sigma, f.D_sigma]
-    row += [float(c) for c in rec.averages.m_c]
-    row += [float(c) for c in rec.averages.j_c]
-    row += [rec.averages.rho_c, f.min_rho, f.min_n1, f.grad_u_max]
-    row += [rec.residuals["energy_balance"], rec.residuals["esigma_balance"]]
-    row.append(";".join(rec.flags))
+    row: list = []
+    for _, per_axis, _, value in _SCHEMA:
+        v = value(rec)
+        row += [float(c) for c in v] if per_axis else [v]
     return row
 
 
 def write_records(path, records: list[DiagnosticsRecord], dim: int) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = _columns(dim)
     lines = ["# records schema 1"]
-    for name, doc in _COLUMN_DOC.items():
-        lines.append(f"# {name}: {doc}")
-    lines.append(",".join(cols))
+    lines += [f"# {name}: {doc}" for name, _, doc, _ in _SCHEMA]
+    lines.append(",".join(_columns(dim)))
     for rec in records:
         row = record_row(rec, dim)
         lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -78,7 +79,6 @@ def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, kind):
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, params={"gamma": 1e6})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
@@ -87,7 +87,6 @@ def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
     assert "stop:blowup" in read_records(tmp_path / "records.csv")[-1]["flags"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reference_run_with_overflowing_pressure_writes_one_flagged_row(tmp_path):
     # at gamma = 1e6 the pressure overflows: E, E_script and E_sigma are inf
     # and D_sigma nan at t=0, and the first step cannot compute a dt
@@ -102,6 +101,24 @@ def test_reference_run_with_overflowing_pressure_writes_one_flagged_row(tmp_path
     assert rows[0]["t"] == 0.0
     assert rows[0]["flags"] == "stop:blowup;endpoint;nonfinite"
     assert math.isinf(rows[0]["E"]) and math.isnan(rows[0]["D_sigma"])
+
+
+def test_run_reports_overflow_only_through_status_and_flags(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, params={"gamma": 1e6})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ""
+    rows = read_records(tmp_path / "records.csv")
+    assert [row["flags"] for row in rows] == ["stop:blowup;endpoint;nonfinite"]
+
+
+def test_run_stops_at_a_particle_vacuum_breach(tmp_path, capsys):
+    # u = sin x carries rho = 1.05e-8 below the vacuum floor within 10 steps
+    cfg = write_cfg(tmp_path, initial_data={"base_rho": 1.05e-8, "amplitudes": {"u": 1.0}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "status=vacuum_breach steps=10 " in capsys.readouterr().out
+    assert read_records(tmp_path / "records.csv")[-1]["flags"] == "stop:vacuum_breach;endpoint"
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -145,7 +162,7 @@ def test_validate_prints_the_momentum_bound_slacks_as_minima(tmp_path, capsys):
         name: float(value)
         for name, value, *_ in (line.split() for line in capsys.readouterr().out.splitlines())
     }
-    _, result = run_validation(load_config(cfg), None)
+    _, result = run_validation(load_config(cfg))
     for name in ("jc_momentum", "jc_rate"):
         worst = min(r.checks[name + "_slack"] for r in result.records)
         assert printed[f"inequality.{name}_min_slack"] == worst
@@ -167,7 +184,7 @@ def test_validate_passes_at_the_aligned_equilibrium(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert all(l.endswith("PASS") for l in lines)
     assert not any(l.startswith("identity.energy_residual_over_D") for l in lines)
-    _, result = run_validation(load_config(cfg), None)
+    _, result = run_validation(load_config(cfg))
     windowed = [r for r in result.records if not math.isnan(r.residuals["energy_balance"])]
     assert windowed and all(r.functionals.D == 0.0 for r in windowed)
 
@@ -178,6 +195,14 @@ def test_validate_fails_on_unstable_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert "run.completed" in out and "FAIL" in out
+
+
+def test_decay_study_row_of_a_stopped_run_carries_its_status(tmp_path):
+    cfg = write_cfg(tmp_path, time={"t_end": 0.5, "cfl_diffusive": 1.0, "dt_max": 1.0})
+    code = main(["decay-study", "--config", str(cfg), "--out", str(tmp_path), "--amplitudes", "0.05"])
+    assert code == 3
+    _, row = csv.reader(io.StringIO((tmp_path / "decay_study.csv").read_text()))
+    assert row[:3] == ["0.05", "fluid_vacuum_breach", ""]
 
 
 def test_decay_study_rows(tmp_path, capsys):
@@ -285,9 +310,9 @@ def test_kinetic_compare_requires_1d(tmp_path, capsys):
     cfg = write_cfg(tmp_path, grid={"dim": 2, "points_per_axis": 16})
     code = main(["kinetic-compare", "--config", str(cfg)])
     assert code == 2
+    assert capsys.readouterr().err == "config error: kinetic-compare requires grid.dim = 1\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kinetic_compare_exits_3_when_a_run_stops(tmp_path, capsys):
     # at gamma = 1e6 the grid reference run cannot compute its first dt
     cfg = write_cfg(tmp_path, params={"gamma": 1e6}, kinetic={"particles": 1000})
@@ -304,3 +329,75 @@ def test_bogovskii_test_subcommand(tmp_path, capsys):
     assert code == 0, out
     assert "spectral.poisson_residual" in out
     assert all(l.endswith("PASS") for l in out.strip().splitlines())
+
+
+def one_error_line(capsys) -> str:
+    """The one line a failed command writes to stderr."""
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "validate", "decay-study", "kinetic-compare", "bogovskii-test"]
+)
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert one_error_line(capsys) == "config error: --seed must be nonnegative, got -1"
+
+
+def test_seed_flag_replaces_the_config_seed(tmp_path):
+    # multi_mode data draw their phases from the seed
+    cfg = write_cfg(tmp_path, initial_data={"kind": "multi_mode"}, seed=7)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    cfg = write_cfg(tmp_path, initial_data={"kind": "multi_mode"}, seed=0)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
+    assert (tmp_path / "a" / "records.csv").read_bytes() == (tmp_path / "b" / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "kinetic-compare"])
+def test_nonfinite_initial_data_exits_3(tmp_path, capsys, command):
+    # rho * u overflows a double: m is inf
+    cfg = write_cfg(tmp_path, initial_data={"base_rho": 1e10, "amplitudes": {"u": 1e300}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert one_error_line(capsys) == f"{command} failed: non-finite values in m"
+
+
+@pytest.mark.parametrize("command", ["run", "decay-study"])
+def test_out_naming_a_file_exits_3_naming_the_path(tmp_path, capsys, command):
+    out = tmp_path / "a_file"
+    out.write_text("")
+    cfg = write_cfg(tmp_path, time={"t_end": 0.01})
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "decay-study":
+        args += ["--amplitudes", "0.05"]
+    assert main(args) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"{command} failed: ") and str(out) in line
+
+
+@pytest.mark.parametrize(
+    "amplitudes,message",
+    [({"rho": 1.5}, "min rho_0 = "), ({"n": 1.5}, "min(1 + n_0) = ")],
+)
+def test_inadmissible_initial_data_exits_3(tmp_path, capsys, amplitudes, message):
+    cfg = write_cfg(tmp_path, initial_data={"amplitudes": amplitudes})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert one_error_line(capsys).startswith(f"run failed: {message}")
+
+
+@pytest.mark.parametrize(
+    "document,key",
+    [
+        ({"schema": 1, "grid": 64}, "grid must be an object"),
+        ([1], "config document must be a JSON object"),
+        ({"grid": {"points_per_axis": 32}}, "missing required key schema"),
+    ],
+)
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, document, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", "--config", str(path)]) == 2
+    assert one_error_line(capsys) == f"config error: {key}"

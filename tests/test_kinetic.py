@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dragflow import kernels, kinetic
-from dragflow.dynamics import FluidParams
+from dragflow.dynamics import DynamicsError, FluidParams, NonPositiveDensity
 from dragflow.grid import TWO_PI, Grid
 from dragflow.initial import InitSpec, generate_initial
 from dragflow.kinetic import (
@@ -479,6 +479,28 @@ def test_kinetic_run_uncomputable_dt_stops_with_blowup_status():
     kin = kinetic_run(ens, state0.n, state0.j, g, params, TimeConfig(t_end=0.5))
     assert kin.status == Status.BLOWUP
     assert kin.steps == 0 and len(kin.samples) == 1
+
+
+@pytest.mark.parametrize(
+    "fault,error,message",
+    [
+        ("nan", DynamicsError, "non-finite values in n"),
+        ("vacuum", NonPositiveDensity, "fluid density 1\\+n must be positive"),
+    ],
+)
+def test_kinetic_run_refuses_an_inadmissible_start_as_run_does(fault, error, message):
+    g = Grid(1, 32)
+    x = g.coords()[0]
+    n0 = 1.5 * np.cos(x) if fault == "vacuum" else np.where(x > 1.0, np.nan, 0.0)
+    j0 = np.zeros((1,) + g.shape)
+    ens = monokinetic_ensemble(g, np.ones(g.shape), np.zeros(g.shape), 1000)
+    with pytest.raises(error, match=message):
+        kinetic_run(ens, n0, j0, g, PARAMS, TimeConfig(t_end=0.1))
+    # the grid solver refuses the same fluid the same way
+    state = generate_initial(InitSpec(kind="uniform_drag"), g)
+    state.n = n0 - np.mean(n0)
+    with pytest.raises(error, match=message):
+        run(state, PARAMS, TimeConfig(t_end=0.1))
 
 
 def test_compare_once_rejects_stopped_particle_run(monkeypatch):

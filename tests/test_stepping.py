@@ -350,7 +350,6 @@ def test_unstable_cfl_stops_with_breach_status():
     assert any(f.startswith("stop:") for f in res.records[-1].flags)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_uncomputable_dt_stops_with_blowup_status():
     # (1+n)**(gamma-1) overflows a double at gamma = 1e6, so no dt exists
     g = Grid(1, 32)
