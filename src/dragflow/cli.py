@@ -80,14 +80,18 @@ class _SnapshottingRecorder:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    # the output directories come first, so an unwritable --out fails at once
+    records_path = _out_path(args.out, cfg.outputs.records_path)
+    records_path.parent.mkdir(parents=True, exist_ok=True)
+    snap_dir = cfg.outputs.snapshots_path and _out_path(args.out, cfg.outputs.snapshots_path)
+    if snap_dir:
+        snap_dir.mkdir(parents=True, exist_ok=True)
     grid, state, recorder = _build(cfg)
     snap = None
-    if cfg.outputs.snapshots_path:
-        snap_dir = _out_path(args.out, cfg.outputs.snapshots_path)
+    if snap_dir:
         snap = _SnapshottingRecorder(recorder, snap_dir, cfg.outputs.snapshot_every or 10**9)
     result = run(state, cfg.params, cfg.time, snap or recorder)
 
-    records_path = _out_path(args.out, cfg.outputs.records_path)
     recordio.write_records(records_path, result.records, grid.dim)
     if snap is not None:
         snap.entries += recordio.write_state_snapshot(
@@ -258,6 +262,8 @@ def _parse_amplitudes(text: str) -> list[float]:
 def cmd_decay_study(args) -> int:
     cfg = _load(args)
     amplitudes = _parse_amplitudes(args.amplitudes)
+    out_path = _out_path(args.out, "decay_study.csv")
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # before the runs
 
     def one_row(amp: float) -> dict:
         row = {"amplitude": amp}
@@ -291,8 +297,6 @@ def cmd_decay_study(args) -> int:
 
     rows = [one_row(amp) for amp in amplitudes]
 
-    out_path = _out_path(args.out, "decay_study.csv")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     cols = ["amplitude", "status", "L0", "lambda_hat", "r_squared", "u_dist_final", "v_dist_final"]
     # csv quotes a status that holds a comma; other rows read as plain joins
     buf = io.StringIO()

@@ -9,6 +9,7 @@ carrier fluid is advanced with the grid-only solver's rates and guarded
 Runge-Kutta advance: ``rhs`` on the stack [n, j, rho_dep, m_dep], with the
 deposited moments frozen over the step, so the coupling force is the grid
 solver's drag rho_dep * (u_dep - v).  Alternation is by Strang splitting.
+``kinetic_run`` pushes the particles block by block into buffers it owns.
 """
 from __future__ import annotations
 
@@ -80,6 +81,11 @@ class MomentSet:
     q_hat: np.ndarray  # 0.5 * third central moment (energy flux)
 
 
+# particles per block of a push: its temporaries are a block long, and a
+# block's passes run while its operands are still in cache
+BLOCK = 32768
+
+
 def _cell(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return kernels.cell_index(x, grid.dx, grid.n)
 
@@ -103,18 +109,52 @@ def deposit(ens: ParticleEnsemble, grid: Grid, cell=None) -> MomentSet:
 
 
 def push(
-    ens: ParticleEnsemble, v_values: np.ndarray, dt: float, grid: Grid, cell=None
+    ens: ParticleEnsemble, v_values: np.ndarray, dt: float, grid: Grid, cell=None, out=None
 ) -> ParticleEnsemble:
     """Midpoint (RK2) update of the characteristics, v frozen in time.
-    ``cell`` is the cell index of ``ens.x``, when the caller already has it."""
+
+    ``cell`` is the cell index (i0, frac) of ``ens.x``, when the caller
+    already has it.  By default the update goes to new arrays and ``cell``
+    is only read.  ``out`` is a pair (x, xi) of buffers apart from
+    ``ens``'s arrays to write it into; ``cell`` is then required, and each
+    block of ``BLOCK`` particles overwrites its part with the index of its
+    new positions once its first gather has read it.  The temporaries are
+    a block long, and the arithmetic is the whole-array update's, bit for
+    bit.
+    """
     if dt <= 0.0:
         raise KineticError("dt must be positive")
-    cell = cell or _cell(ens.x, grid)
-    xi_mid = ens.xi + 0.5 * dt * (kernels.gather(v_values, *cell) - ens.xi)
-    v_mid = kernels.gather(v_values, *_cell(kernels.wrap(ens.x + 0.5 * dt * ens.xi), grid))
-    x_new = kernels.wrap(ens.x + dt * xi_mid)
-    xi_new = ens.xi + dt * (v_mid - xi_mid)
-    return ens.moved(x_new, xi_new)
+    if out is None:
+        out = np.empty_like(ens.x), np.empty_like(ens.xi)
+        cell = tuple(a.copy() for a in cell) if cell else _cell(ens.x, grid)
+    h = 0.5 * dt
+    size = min(BLOCK, ens.size)
+    mid_buffer, i_mid_buffer = np.empty(size), np.empty(size, np.int64)
+    for lo in range(0, ens.size, BLOCK):
+        b = slice(lo, lo + BLOCK)
+        x, xi, x_new, xi_new = ens.x[b], ens.xi[b], out[0][b], out[1][b]
+        i0, frac = cell[0][b], cell[1][b]
+        xi_mid, i_mid = mid_buffer[: x.size], i_mid_buffer[: x.size]
+        # xi_mid = xi + h * (v(x) - xi)
+        kernels.gather(v_values, i0, frac, out=xi_mid)
+        xi_mid -= xi
+        xi_mid *= h
+        xi_mid += xi
+        # v_mid = v(wrap(x + h * xi)) into x_new; xi_new holds the midpoint
+        np.multiply(xi, h, out=xi_new)
+        xi_new += x
+        kernels.wrap(xi_new, out=xi_new)
+        kernels.cell_index(xi_new, grid.dx, grid.n, out=(i_mid, xi_new))
+        kernels.gather(v_values, i_mid, xi_new, out=x_new)
+        # xi_new = xi + dt * (v_mid - xi_mid); x_new = wrap(x + dt * xi_mid)
+        np.subtract(x_new, xi_mid, out=xi_new)
+        xi_new *= dt
+        xi_new += xi
+        np.multiply(xi_mid, dt, out=x_new)
+        x_new += x
+        kernels.wrap(x_new, out=x_new)
+        kernels.cell_index(x_new, grid.dx, grid.n, out=(i0, frac))
+    return ens.moved(*out)
 
 
 @dataclass(frozen=True)
@@ -211,12 +251,18 @@ def kinetic_run(
     empty ensemble this reduces to the plain compressible solver.  A step
     that leaves the admissible set ends the run early: the result holds the
     last good state and the stop status.
+
+    The run owns two buffer pairs for the particles and one cell index
+    (i0, frac), made before the first step.  The first half-push reads the
+    particles and writes the half-pushed ones into the first pair, so a
+    failed fluid step leaves the last good particles as they were; the
+    second writes into the other pair, never into the caller's arrays.
+    Each push overwrites the cell index with that of the positions it
+    writes, which the deposit, the next push and the samples read.
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
     _pin_malloc_thresholds()
-    # each position set is indexed once (half's index serves the deposit and
-    # the second half-push), and an index is dropped after its last use
     cell = _cell(ens.x, grid)
     moments = deposit(ens, grid, cell)
     y = np.empty((4, grid.n))
@@ -233,6 +279,9 @@ def kinetic_run(
     # the fluid velocity of y, made once per step: it sets dt and drives the
     # pushes on either side of the fluid step
     v = y[1:2] / (1.0 + y[0])
+    # the half-pushed and the pushed particles, in buffers the run owns
+    half_buffers = np.empty_like(ens.x), np.empty_like(ens.xi)
+    buffers = np.empty_like(ens.x), np.empty_like(ens.xi)
 
     def rates(y_s):
         k = rhs(State.of(grid, y_s), params)
@@ -243,11 +292,10 @@ def kinetic_run(
         try:
             speed = float(np.max(np.abs(v))) + sound_speed_max(y[0], params)
             if ens.size:
-                speed = max(speed, float(np.max(np.abs(ens.xi))))
+                speed = max(speed, float(max(ens.xi.max(), -ens.xi.min())))
             dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
 
-            half = push(ens, v[0], 0.5 * dt, grid, cell) if ens.size else ens
-            cell = _cell(half.x, grid)
+            half = push(ens, v[0], 0.5 * dt, grid, cell, half_buffers)
             # the drag reads mass and momentum only
             y[2:] = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
 
@@ -260,9 +308,7 @@ def kinetic_run(
             break
         y = y_new
         v = y[1:2] / (1.0 + y[0])
-        ens = push(half, v[0], 0.5 * dt, grid, cell) if ens.size else half
-        del half, cell
-        cell = _cell(ens.x, grid)
+        ens = push(half, v[0], 0.5 * dt, grid, cell, buffers)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dragflow import cli
 from dragflow.cli import main, run_validation
 from dragflow.config import load_config
 from dragflow.grid import Grid
@@ -373,6 +374,23 @@ def test_out_naming_a_file_exits_3_naming_the_path(tmp_path, capsys, command):
     args = [command, "--config", str(cfg), "--out", str(out)]
     if command == "decay-study":
         args += ["--amplitudes", "0.05"]
+    assert main(args) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"{command} failed: ") and str(out) in line
+
+
+@pytest.mark.parametrize("command", ["run", "decay-study"])
+def test_out_naming_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args, **kwargs):
+        pytest.fail("the simulation ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "a_file"
+    out.write_text("")
+    cfg = write_cfg(tmp_path, outputs={"snapshots_path": "snaps", "snapshot_every": 1})
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "decay-study":
+        args += ["--amplitudes", "0.01,0.05"]
     assert main(args) == 3
     line = one_error_line(capsys)
     assert line.startswith(f"{command} failed: ") and str(out) in line

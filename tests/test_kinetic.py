@@ -233,6 +233,43 @@ def test_gather_with_reused_index_equals_gather_from_positions():
     np.testing.assert_array_equal(kernels.gather(v, *cell), expected)
 
 
+@pytest.mark.parametrize("size", [1, kinetic.BLOCK - 1, kinetic.BLOCK + 3, 2 * kinetic.BLOCK + 1])
+def test_blocked_push_is_the_whole_array_push_bit_for_bit(size):
+    # n = 48: the largest double below 2*pi divided by dx rounds up to 48, so
+    # cell_index takes its remainder branch on it
+    g = Grid(1, 48)
+    rng = np.random.default_rng(size)
+    x = rng.uniform(0.0, TWO_PI, size)
+    xi = rng.standard_normal(size)
+    v = rng.standard_normal(g.n)
+    v[[0, -1]] = 0.0  # a particle at rest next to 2*pi stays where it is
+    x[0], xi[0] = np.nextafter(TWO_PI, 0.0), 0.0  # first block
+    if size > 1:
+        x[-2:] = TWO_PI - 1e-3, 1e-3  # last block: pushed past 2*pi and below 0
+        xi[-2:] = 50.0, -50.0
+    dt = 0.01
+    cell = kernels.cell_index(x, g.dx, g.n)
+
+    xi_mid = xi + 0.5 * dt * (kernels.gather(v, *cell) - xi)
+    v_mid = kernels.gather(v, *kernels.cell_index(kernels.wrap(x + 0.5 * dt * xi), g.dx, g.n))
+    x_want = kernels.wrap(x + dt * xi_mid)
+    xi_want = xi + dt * (v_mid - xi_mid)
+    cell_want = kernels.cell_index(x_want, g.dx, g.n)
+    assert x_want[0] / g.dx == g.n and cell_want[0][0] == 0
+    if size > 1:
+        assert (x + dt * xi_mid)[-2] > TWO_PI and (x + dt * xi_mid)[-1] < 0.0
+
+    ens = ParticleEnsemble(x, xi, np.ones(size))
+    out = np.full(size, np.nan), np.full(size, np.nan)
+    got = push(ens, v, dt, g, cell, out)
+    assert got.x is out[0] and got.xi is out[1]
+    for a, b in zip((got.x, got.xi) + cell, (x_want, xi_want) + cell_want):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    fresh = push(ens, v, dt, g)
+    np.testing.assert_array_equal(fresh.x.view(np.int64), x_want.view(np.int64))
+    np.testing.assert_array_equal(fresh.xi.view(np.int64), xi_want.view(np.int64))
+
+
 # -- deposition ---------------------------------------------------------------
 
 
@@ -468,6 +505,25 @@ def test_kinetic_run_returns_stop_status():
     assert np.all(np.isfinite(kin.n)) and np.all(np.isfinite(kin.j))
     assert float(np.min(1.0 + kin.n)) > 0.0
     np.testing.assert_array_equal(kin.samples[-1].n, kin.n)
+
+
+def test_kinetic_run_stopped_with_particles_returns_the_last_good_ensemble():
+    # dt = dt_max = 2**-8 every step (below the diffusive limit dx^2 / 2), so
+    # the times add exactly; dt * 2 mu * k^2 exceeds RK4's stability interval
+    # for the top modes, and the fluid reaches vacuum after some steps
+    g = Grid(1, 64)
+    spec = InitSpec(kind="single_mode", amplitudes={"rho": 0.05, "u": 0.05, "n": 0.05, "v": 0.05})
+    state0 = generate_initial(spec, g)
+    ens = monokinetic_ensemble(g, state0.rho, state0.m[0] / state0.rho, 3000)
+    cfg = TimeConfig(t_end=4.0, cfl_diffusive=1.0, dt_max=2.0**-8, record_every=10**9)
+    stopped = kinetic_run(ens, state0.n, state0.j, g, PARAMS, cfg)
+    assert stopped.status == Status.FLUID_VACUUM_BREACH and stopped.steps >= 1
+    assert stopped.t_final == stopped.steps * cfg.dt_max
+    to_there = kinetic_run(ens, state0.n, state0.j, g, PARAMS, replace(cfg, t_end=stopped.t_final))
+    assert to_there.status == Status.COMPLETED and to_there.steps == stopped.steps
+    assert stopped.ensemble.x.tobytes() == to_there.ensemble.x.tobytes()
+    assert stopped.ensemble.xi.tobytes() == to_there.ensemble.xi.tobytes()
+    np.testing.assert_array_equal(stopped.n, to_there.n)
 
 
 def test_kinetic_run_uncomputable_dt_stops_with_blowup_status():
