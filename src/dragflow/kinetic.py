@@ -81,8 +81,8 @@ class MomentSet:
     q_hat: np.ndarray  # 0.5 * third central moment (energy flux)
 
 
-# particles per block of a push: its temporaries are a block long, and a
-# block's passes run while its operands are still in cache
+# about the particles per block of a push: its temporaries are a block
+# long, and a block's passes run while its operands are still in cache
 BLOCK = 32768
 
 
@@ -117,10 +117,11 @@ def push(
     already has it.  By default the update goes to new arrays and ``cell``
     is only read.  ``out`` is a pair (x, xi) of buffers apart from
     ``ens``'s arrays to write it into; ``cell`` is then required, and each
-    block of ``BLOCK`` particles overwrites its part with the index of its
-    new positions once its first gather has read it.  The temporaries are
-    a block long, and the arithmetic is the whole-array update's, bit for
-    bit.
+    block overwrites its part with the index of its new positions once its
+    first gather has read it.  The particles go in round(size / BLOCK)
+    blocks (at least one; none when there are no particles) of sizes that
+    differ by less than the number of blocks.  The temporaries are a block
+    long, and the arithmetic is the whole-array update's, bit for bit.
     """
     if dt <= 0.0:
         raise KineticError("dt must be positive")
@@ -128,10 +129,12 @@ def push(
         out = np.empty_like(ens.x), np.empty_like(ens.xi)
         cell = tuple(a.copy() for a in cell) if cell else _cell(ens.x, grid)
     h = 0.5 * dt
-    size = min(BLOCK, ens.size)
+    # blocks of nearly equal sizes: no short last block pays a whole
+    # block's call overhead
+    size = -(-ens.size // max(1, round(ens.size / BLOCK)))
     mid_buffer, i_mid_buffer = np.empty(size), np.empty(size, np.int64)
-    for lo in range(0, ens.size, BLOCK):
-        b = slice(lo, lo + BLOCK)
+    for lo in range(0, ens.size, max(1, size)):
+        b = slice(lo, lo + size)
         x, xi, x_new, xi_new = ens.x[b], ens.xi[b], out[0][b], out[1][b]
         i0, frac = cell[0][b], cell[1][b]
         xi_mid, i_mid = mid_buffer[: x.size], i_mid_buffer[: x.size]

@@ -123,44 +123,59 @@ def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> tuple[np.ndarray, f
     """One guarded explicit Runge-Kutta step of y' = f(y) on one stacked
     array whose row 0 is the fluid's n; returns the advanced stack, newly
     allocated, and the |mean(n)| its re-projection removed.  ``f`` is first
-    called with ``y`` itself.
+    called with ``y`` itself, returns a new array and keeps no reference to
+    its argument: every later stage is written into one buffer, which the
+    next stage overwrites.
 
-    A stage is one scale-and-add over the stack, (c * k) + y, and every sum
-    adds its terms to y from left to right.  The final sum scales the k's in
-    place, so it makes no temporary the size of the stack.
+    While ``f`` runs the step holds three stacks: y, the running sum and
+    the stage.  Each rate is folded into the sum once the next stage has
+    been formed from it; k1, scaled in place and with y added, becomes the
+    sum, and no name holds an older rate when ``f`` runs again.  (ssp_rk3's
+    third stage reads k1 and k2 together, so a fourth is live while it is
+    formed.)  A stage is (c * k) + y, and the sum adds its terms to y from
+    left to right, every product and sum with the operands and order of
+    the textbook form, so the result is that form's bit for bit.
     Raises IntegrationError: FLUID_VACUUM_BREACH when a stage leaves the
     fluid's admissible set (``NonPositiveDensity`` from ``f``), BLOWUP when
     the advanced stack holds a non-finite value.
     """
-
-    def stage(*terms: tuple[float, np.ndarray]) -> np.ndarray:
-        (c, k), *rest = terms
-        out = k * c
-        out += y
-        for c, k in rest:
-            out += k * c
-        return out
-
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             if scheme == "rk4":
-                k1 = f(y)
-                k2 = f(stage((0.5 * dt, k1)))
-                k3 = f(stage((0.5 * dt, k2)))
-                k4 = f(stage((dt, k3)))
-                terms = ((dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4))
+                out = f(y)
+                stage = out * (0.5 * dt)
+                stage += y
+                out *= dt / 6.0
+                out += y
+                for c, w in ((0.5 * dt, dt / 3.0), (dt, dt / 3.0)):
+                    k = f(stage)
+                    np.multiply(k, c, out=stage)
+                    stage += y
+                    k *= w
+                    out += k
+                    del k
+                k = f(stage)
+                k *= dt / 6.0
+                out += k
             elif scheme == "ssp_rk3":
                 k1 = f(y)
-                k2 = f(stage((dt, k1)))
-                k3 = f(stage((0.25 * dt, k1), (0.25 * dt, k2)))
-                terms = ((dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3))
+                stage = k1 * dt
+                stage += y
+                k2 = f(stage)
+                np.multiply(k1, 0.25 * dt, out=stage)
+                stage += y
+                stage += k2 * (0.25 * dt)
+                out = k1
+                out *= dt / 6.0
+                out += y
+                k2 *= dt / 6.0
+                out += k2
+                del k1, k2
+                k = f(stage)
+                k *= 2.0 * dt / 3.0
+                out += k
             else:
                 raise ValueError(f"unknown scheme {scheme!r}")
-            for c, k in terms:
-                k *= c
-            out = y + k1
-            for _, k in terms[1:]:
-                out += k
     except NonPositiveDensity as err:
         raise IntegrationError(Status.FLUID_VACUUM_BREACH, str(err)) from err
 

@@ -233,7 +233,9 @@ def test_gather_with_reused_index_equals_gather_from_positions():
     np.testing.assert_array_equal(kernels.gather(v, *cell), expected)
 
 
-@pytest.mark.parametrize("size", [1, kinetic.BLOCK - 1, kinetic.BLOCK + 3, 2 * kinetic.BLOCK + 1])
+@pytest.mark.parametrize(
+    "size", [1, kinetic.BLOCK - 1, kinetic.BLOCK + 3, 2 * kinetic.BLOCK + 1, 100_000]
+)
 def test_blocked_push_is_the_whole_array_push_bit_for_bit(size):
     # n = 48: the largest double below 2*pi divided by dx rounds up to 48, so
     # cell_index takes its remainder branch on it
@@ -268,6 +270,35 @@ def test_blocked_push_is_the_whole_array_push_bit_for_bit(size):
     fresh = push(ens, v, dt, g)
     np.testing.assert_array_equal(fresh.x.view(np.int64), x_want.view(np.int64))
     np.testing.assert_array_equal(fresh.xi.view(np.int64), xi_want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "size,blocks",
+    [
+        (0, []),
+        (1, [1]),
+        (kinetic.BLOCK + 3, [kinetic.BLOCK + 3]),
+        (2 * kinetic.BLOCK + 1, [kinetic.BLOCK + 1, kinetic.BLOCK]),
+        (100_000, [33_334, 33_334, 33_332]),
+    ],
+)
+def test_push_splits_the_particles_into_nearly_equal_blocks(monkeypatch, size, blocks):
+    # round(size / BLOCK) blocks, at least one when there are particles: 100k
+    # particles make three blocks, not three and a short fourth
+    g = Grid(1, 16)
+    rng = np.random.default_rng(size)
+    ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, size), rng.standard_normal(size), np.ones(size))
+    cell = kernels.cell_index(ens.x, g.dx, g.n)
+    seen = []
+    gather = kernels.gather
+
+    def counting_gather(values, i0, frac, out=None):
+        seen.append(i0.size)
+        return gather(values, i0, frac, out=out)
+
+    monkeypatch.setattr(kernels, "gather", counting_gather)
+    push(ens, np.zeros(g.n), 0.01, g, cell, (np.empty(size), np.empty(size)))
+    assert seen == [b for b in blocks for _ in range(2)]  # two gathers a block
 
 
 # -- deposition ---------------------------------------------------------------

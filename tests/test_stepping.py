@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,31 @@ def test_guarded_advance_returns_the_reprojection(scheme):
     assert abs(float(np.mean(new[0]))) < 1e-16
     np.testing.assert_allclose(new[0], y[0] + 0.1 * rate[0] - 0.2, rtol=0, atol=1e-15)
     np.testing.assert_allclose(new[1], y[1] + 0.1, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+def test_guarded_advance_holds_the_sum_and_one_stage_while_the_rates_run(scheme):
+    # besides y, only the running sum and the stage buffer are live on every
+    # call of f: no earlier rate is still held (keeping k1..k3 read 4 stacks
+    # for rk4 and k1, k2 3 for ssp_rk3)
+    y = np.random.default_rng(9).standard_normal((8, 16, 16, 16))
+    before = y.copy()
+    live = []
+
+    def f(y_s):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return y_s * 0.5
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _rk_advance(y, f, 0.1, scheme)
+    finally:
+        tracemalloc.stop()
+    stacks = [(b - base) / y.nbytes for b in live]
+    assert len(stacks) == (4 if scheme == "rk4" else 3)
+    assert max(stacks) <= 2.02, stacks
+    assert y.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
