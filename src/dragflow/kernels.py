@@ -1,22 +1,16 @@
-"""Hot particle kernels: periodic wrap, cell index, linear gather, and
-cloud-in-cell deposition of the first ``count`` velocity moments.
+"""Hot particle kernels in cell coordinates: cell index, cell move,
+position, linear gather, and cloud-in-cell deposition of the first
+``count`` velocity moments.
 
-``cell_index`` gives each position its cell ``i0`` and offset ``frac`` in
-[0, 1), by ``floor`` and, only for positions at (or rounding to) 2*pi or
-outside [0, 2*pi), a remainder; ``gather`` and ``deposit_moments`` take that
-pair, so a set of positions is indexed once however often it is read.
-``wrap`` has an exact fast form for the input a particle step makes, chosen
-by the range of its input and equal bit for bit to the general form: it
-folds positions within one period of [0, 2*pi) by one subtraction or
-addition of 2*pi, where anything else takes ``fmod``.  All four are numpy,
-with one definition each.
-
-``wrap``, ``cell_index`` and ``gather`` take an optional ``out=`` and write
-their result there instead of into new arrays: for ``wrap`` and ``gather``
-an array (``wrap``'s may be its input), for ``cell_index`` an ``(i0, frac)``
-pair (whose ``frac`` may be the positions).  So a caller that works block
-by block, as ``kinetic.push`` does, keeps its temporaries in buffers it
-owns.  To time the gather and the deposit per particle, run
+A particle is at its cell ``i0`` and offset ``frac`` in it, the position
+(i0 + frac) * dx.  ``cell_index`` gives a set of positions that pair, once;
+``move`` gives the pair of points displaced from cells by a number of
+cells, as a push makes them, with no position in between; ``position`` goes
+back.  ``gather`` and ``deposit_moments`` read the pair.  All are numpy,
+with one definition each.  ``move`` and ``gather`` write into ``out=``, so
+a caller that works block by block, as ``kinetic.push`` does, keeps its
+temporaries in buffers it owns.  To time the gather and the deposit per
+particle, run
 ``python3 perfbench/run.py --workload kinetic1d --trace 1``
 (``kernels.*.ns_per_particle``).
 
@@ -33,45 +27,51 @@ from .grid import TWO_PI
 HAVE_NUMBA = False
 
 
-def wrap(a, out=None):
-    """``a % TWO_PI``, bit for bit on finite input, written into ``out``
-    (which may be ``a``) when given.
-
-    On [-2*pi, 4*pi), where every push lands while dt*|xi| < 2*pi, one
-    subtraction or addition of 2*pi is exact and equals the remainder: on
-    [2*pi, 4*pi), a - 2*pi is exact (Sterbenz) and so is ``fmod``.  Other
-    input takes ``fmod``.
-    """
-    if a.size:
-        lo, hi = a.min(), a.max()
-        if -TWO_PI <= lo and hi < 2.0 * TWO_PI:
-            r = np.add(a, 0.0, out=out)  # -0.0 made +0.0 as with %
-            if hi >= TWO_PI:
-                np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
-            if lo < 0.0:
-                np.add(r, TWO_PI, out=r, where=r < 0.0)  # -2*pi + 2*pi is +0.0
-            return r
-    r = np.fmod(a, TWO_PI, out=out)
-    np.add(r, TWO_PI, out=r, where=r < 0.0)
-    r += 0.0  # -0.0 (a negative multiple of 2*pi) becomes +0.0, as with %
-    return r
-
-
-def cell_index(x, dx, n_cells, out=None):
+def cell_index(x, dx, n_cells):
     """Cell ``i0`` (int64, in [0, n_cells)) and offset ``frac`` in [0, 1)
-    of each position on the periodic grid of spacing ``dx``, written into
-    the pair ``out`` when given (its ``frac`` may be ``x`` itself)."""
-    i0, s = out if out is not None else (np.empty(x.shape, np.int64), None)
-    s = np.divide(x, dx, out=s)
+    of each position on the periodic grid of spacing ``dx``."""
+    s = x / dx
     fl = np.floor(s)
-    np.subtract(s, fl, out=s)
+    s -= fl
     if fl.size and not (fl.min() >= 0.0 and fl.max() < n_cells):
         # a position at (or rounding to) 2*pi, or outside [0, 2*pi)
         if not np.all(np.isfinite(fl)):
             raise ValueError("particle positions must be finite")
         np.remainder(fl, n_cells, out=fl)
-    np.copyto(i0, fl, casting="unsafe")
-    return i0, s
+    return fl.astype(np.int64), s
+
+
+def move(i0, t, n_cells, out):
+    """Cell and offset of the points ``t`` cells right of the left ends of
+    the cells ``i0`` (in [0, n_cells)): the cell i0 + floor(t) folded into
+    [0, n_cells), as int64, written into ``out``, and the offset
+    t - floor(t) in [0, 1], written over ``t`` (a t in [0, 1) is left as it
+    is, so a -0.0 stays; a push never makes one).
+
+    A push moves a particle a small part of a cell, so few points leave
+    their cell: the cells are copied, and only the points with t outside
+    [0, 1) are found and moved.  Their cells take the remainder of the float
+    floor before the cast, exact at any distance that fits a double.
+    """
+    np.copyto(out, i0)
+    inside = t >= 0.0
+    inside &= t < 1.0
+    k = np.flatnonzero(~inside)  # a nan is outside
+    if k.size:
+        fl = np.floor(t[k])
+        if not np.all(np.isfinite(fl)):
+            raise ValueError("particle positions must be finite")
+        t[k] -= fl
+        fl += i0[k]
+        out[k] = np.remainder(fl, n_cells)
+    return out, t
+
+
+def position(i0, frac, dx):
+    """The position (i0 + frac) * dx of each particle, folded into [0, 2*pi)."""
+    x = np.add(i0, frac)
+    x *= dx
+    return np.remainder(x, TWO_PI, out=x)
 
 
 def deposit_moments(i0, frac, xi, w, n_cells, count):
@@ -95,13 +95,14 @@ def deposit_moments(i0, frac, xi, w, n_cells, count):
 
 def gather(values, i0, frac, out=None):
     """Linear interpolation of a periodic grid field at cell indices,
-    written into ``out`` when given: ``v[i0] * (1 - frac) + v[i0 + 1] * frac``
-    term by term, with indices taken modulo the period (``take``'s "wrap"
+    written into ``out`` when given: the slope form
+    ``v[i0] + frac * (v[i0 + 1] - v[i0])``, from a table of the slopes made
+    once per call.  Indices are taken modulo the period (``take``'s "wrap"
     mode, which, unlike its default, fills ``out`` without a buffer)."""
-    left = values.take(i0, out=out, mode="wrap")
-    right = np.subtract(1.0, frac)
-    left *= right
-    np.concatenate((values[1:], values[:1])).take(i0, out=right, mode="wrap")
-    right *= frac
-    left += right
-    return left
+    slope = np.concatenate((values[1:], values[:1]))
+    slope -= values
+    out = values.take(i0, out=out, mode="wrap")
+    rise = slope.take(i0, mode="wrap")
+    rise *= frac
+    out += rise
+    return out

@@ -1,7 +1,8 @@
 """One-dimensional particle reference solver for the two-phase system.
 
 Particles discretize the phase-space density of the dispersed phase; each
-carries a position, a velocity, and a weight.  Characteristics are
+carries a position, a velocity, and a weight; on the step path a position
+is a cell and an offset in it (see ``kernels``).  Characteristics are
 x' = xi, xi' = v(x) - xi with the fluid velocity interpolated linearly to
 the particles; moments come back to the grid by cloud-in-cell deposition
 (the consistent pair, so the exchanged momentum telescopes exactly).  The
@@ -42,23 +43,12 @@ class ParticleEnsemble:
     w: np.ndarray
 
     def __post_init__(self):
-        self._check(self.x, self.xi, self.w)
-        if self.w.size and not float(np.min(self.w)) > 0.0:
-            raise KineticError("weights must be positive")
-
-    def _check(self, *arrays: np.ndarray) -> None:
         if self.x.ndim != 1 or not (self.x.shape == self.xi.shape == self.w.shape):
             raise KineticError("x, xi, w must be equal-length 1-D arrays")
-        if not all(np.isfinite(a).all() for a in arrays):
+        if not all(np.isfinite(a).all() for a in (self.x, self.xi, self.w)):
             raise KineticError("x, xi, w must be finite")
-
-    def moved(self, x: np.ndarray, xi: np.ndarray) -> "ParticleEnsemble":
-        """The same particles at new positions and velocities.  The weights
-        are this ensemble's, already checked, so only x and xi are."""
-        ens = object.__new__(ParticleEnsemble)
-        ens.x, ens.xi, ens.w = x, xi, self.w
-        ens._check(x, xi)
-        return ens
+        if self.w.size and not float(np.min(self.w)) > 0.0:
+            raise KineticError("weights must be positive")
 
     @property
     def size(self) -> int:
@@ -86,17 +76,14 @@ class MomentSet:
 BLOCK = 32768
 
 
-def _cell(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    return kernels.cell_index(x, grid.dx, grid.n)
-
-
-def deposit(ens: ParticleEnsemble, grid: Grid, cell=None) -> MomentSet:
-    """Cloud-in-cell moments; mass and momentum deposit exactly.  ``cell``
-    is the cell index of ``ens.x``, when the caller already has it."""
+def deposit(ens: ParticleEnsemble, grid: Grid, particles=None) -> MomentSet:
+    """Cloud-in-cell moments; mass and momentum deposit exactly.
+    ``particles`` is the ensemble's (i0, frac, xi) in cell coordinates, when
+    the caller has them; only the weights are then read from ``ens``."""
     if grid.dim != 1:
         raise KineticError("particle solver is 1-D only")
-    cell = cell or _cell(ens.x, grid)
-    s0, s1, s2, s3 = kernels.deposit_moments(*cell, ens.xi, ens.w, grid.n, 4)
+    particles = particles or (*kernels.cell_index(ens.x, grid.dx, grid.n), ens.xi)
+    s0, s1, s2, s3 = kernels.deposit_moments(*particles, ens.w, grid.n, 4)
     rho = s0 / grid.dx
     m = s1 / grid.dx
     safe = np.where(s0 > 0.0, s0, 1.0)
@@ -108,56 +95,58 @@ def deposit(ens: ParticleEnsemble, grid: Grid, cell=None) -> MomentSet:
     return MomentSet(rho, m, theta_rho, q_hat)
 
 
-def push(
-    ens: ParticleEnsemble, v_values: np.ndarray, dt: float, grid: Grid, cell=None, out=None
-) -> ParticleEnsemble:
+def push(particles, v_values: np.ndarray, dt: float, grid: Grid, out=None):
     """Midpoint (RK2) update of the characteristics, v frozen in time.
 
-    ``cell`` is the cell index (i0, frac) of ``ens.x``, when the caller
-    already has it.  By default the update goes to new arrays and ``cell``
-    is only read.  ``out`` is a pair (x, xi) of buffers apart from
-    ``ens``'s arrays to write it into; ``cell`` is then required, and each
-    block overwrites its part with the index of its new positions once its
-    first gather has read it.  The particles go in round(size / BLOCK)
-    blocks (at least one; none when there are no particles) of sizes that
-    differ by less than the number of blocks.  The temporaries are a block
-    long, and the arithmetic is the whole-array update's, bit for bit.
+    ``particles`` is a triple (i0, frac, xi) of cells, offsets and
+    velocities (see ``kernels``), only read.  The moved particles' triple
+    goes into ``out`` when given, else into new arrays: an offset plus its
+    displacement in cells gives, by ``kernels.move``, the cell and offset
+    of the midpoint and of the end.  A new velocity that is not finite
+    raises ``KineticError``; the offsets stay finite while it is finite.
+
+    The particles go in round(size / BLOCK) blocks (at least one; none when
+    there are no particles) of sizes that differ by less than the number of
+    blocks.  The temporaries are two block-long arrays and the block's
+    output slots, and the arithmetic is the whole-array update's, bit for
+    bit.
     """
     if dt <= 0.0:
         raise KineticError("dt must be positive")
     if out is None:
-        out = np.empty_like(ens.x), np.empty_like(ens.xi)
-        cell = tuple(a.copy() for a in cell) if cell else _cell(ens.x, grid)
+        out = tuple(np.empty_like(a) for a in particles)
     h = 0.5 * dt
+    count = particles[2].size
     # blocks of nearly equal sizes: no short last block pays a whole
     # block's call overhead
-    size = -(-ens.size // max(1, round(ens.size / BLOCK)))
+    size = -(-count // max(1, round(count / BLOCK)))
     mid_buffer, i_mid_buffer = np.empty(size), np.empty(size, np.int64)
-    for lo in range(0, ens.size, max(1, size)):
+    for lo in range(0, count, max(1, size)):
         b = slice(lo, lo + size)
-        x, xi, x_new, xi_new = ens.x[b], ens.xi[b], out[0][b], out[1][b]
-        i0, frac = cell[0][b], cell[1][b]
-        xi_mid, i_mid = mid_buffer[: x.size], i_mid_buffer[: x.size]
+        i0, frac, xi = (a[b] for a in particles)
+        i_new, frac_new, xi_new = (a[b] for a in out)
+        xi_mid, i_mid = mid_buffer[: xi.size], i_mid_buffer[: xi.size]
         # xi_mid = xi + h * (v(x) - xi)
         kernels.gather(v_values, i0, frac, out=xi_mid)
         xi_mid -= xi
         xi_mid *= h
         xi_mid += xi
-        # v_mid = v(wrap(x + h * xi)) into x_new; xi_new holds the midpoint
-        np.multiply(xi, h, out=xi_new)
-        xi_new += x
-        kernels.wrap(xi_new, out=xi_new)
-        kernels.cell_index(xi_new, grid.dx, grid.n, out=(i_mid, xi_new))
-        kernels.gather(v_values, i_mid, xi_new, out=x_new)
-        # xi_new = xi + dt * (v_mid - xi_mid); x_new = wrap(x + dt * xi_mid)
-        np.subtract(x_new, xi_mid, out=xi_new)
+        # v_mid = v(x + h * xi) into xi_new; frac_new holds the midpoint offset
+        np.multiply(xi, h / grid.dx, out=frac_new)
+        frac_new += frac
+        kernels.move(i0, frac_new, grid.n, out=i_mid)
+        kernels.gather(v_values, i_mid, frac_new, out=xi_new)
+        # xi_new = xi + dt * (v_mid - xi_mid)
+        xi_new -= xi_mid
         xi_new *= dt
         xi_new += xi
-        np.multiply(xi_mid, dt, out=x_new)
-        x_new += x
-        kernels.wrap(x_new, out=x_new)
-        kernels.cell_index(x_new, grid.dx, grid.n, out=(i0, frac))
-    return ens.moved(*out)
+        if not (math.isfinite(xi_new.min()) and math.isfinite(xi_new.max())):
+            raise KineticError("particle velocities must stay finite")
+        # x_new = x + dt * xi_mid, as a cell and an offset
+        np.multiply(xi_mid, dt / grid.dx, out=frac_new)
+        frac_new += frac
+        kernels.move(i0, frac_new, grid.n, out=i_new)
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,19 +244,21 @@ def kinetic_run(
     that leaves the admissible set ends the run early: the result holds the
     last good state and the stop status.
 
-    The run owns two buffer pairs for the particles and one cell index
-    (i0, frac), made before the first step.  The first half-push reads the
-    particles and writes the half-pushed ones into the first pair, so a
-    failed fluid step leaves the last good particles as they were; the
-    second writes into the other pair, never into the caller's arrays.
-    Each push overwrites the cell index with that of the positions it
-    writes, which the deposit, the next push and the samples read.
+    The run moves the particles in cell coordinates, as triples
+    (i0, frac, xi), through two triples of buffers it owns.  The first
+    starts as the cell index of ``ens.x`` (with ``ens.xi``, read in place,
+    as step 1's velocities) and holds the pushed particles; the second holds
+    the half-pushed ones, which the step's deposit reads.  A fluid step that
+    fails leaves the first triple, the last good particles, untouched, and
+    the caller's arrays are never written.  Positions are formed only for
+    the result's ensemble.
     """
     if grid.dim != 1:
         raise KineticError("kinetic_run is 1-D only")
     _pin_malloc_thresholds()
-    cell = _cell(ens.x, grid)
-    moments = deposit(ens, grid, cell)
+    i0, frac = kernels.cell_index(ens.x, grid.dx, grid.n)
+    particles = i0, frac, ens.xi
+    moments = deposit(ens, grid, particles)
     y = np.empty((4, grid.n))
     y[0] = n0 - np.mean(n0)
     y[1:2] = j0
@@ -282,9 +273,8 @@ def kinetic_run(
     # the fluid velocity of y, made once per step: it sets dt and drives the
     # pushes on either side of the fluid step
     v = y[1:2] / (1.0 + y[0])
-    # the half-pushed and the pushed particles, in buffers the run owns
-    half_buffers = np.empty_like(ens.x), np.empty_like(ens.xi)
-    buffers = np.empty_like(ens.x), np.empty_like(ens.xi)
+    pushed = i0, frac, np.empty_like(ens.xi)
+    half_pushed = tuple(np.empty_like(a) for a in pushed)
 
     def rates(y_s):
         k = rhs(State.of(grid, y_s), params)
@@ -295,12 +285,13 @@ def kinetic_run(
         try:
             speed = float(np.max(np.abs(v))) + sound_speed_max(y[0], params)
             if ens.size:
-                speed = max(speed, float(max(ens.xi.max(), -ens.xi.min())))
+                xi = particles[2]
+                speed = max(speed, float(max(xi.max(), -xi.min())))
             dt = min(cfl_dt(speed, grid.dx, params, cfg), t_end - t)
 
-            half = push(ens, v[0], 0.5 * dt, grid, cell, half_buffers)
+            half = push(particles, v[0], 0.5 * dt, grid, half_pushed)
             # the drag reads mass and momentum only
-            y[2:] = kernels.deposit_moments(*cell, half.xi, half.w, grid.n, 2) / grid.dx
+            y[2:] = kernels.deposit_moments(*half, ens.w, grid.n, 2) / grid.dx
 
             y_new, _ = _rk_advance(y, rates, dt, cfg.scheme)
             n1_min = float(np.min(1.0 + y_new[0]))
@@ -311,13 +302,17 @@ def kinetic_run(
             break
         y = y_new
         v = y[1:2] / (1.0 + y[0])
-        ens = push(half, v[0], 0.5 * dt, grid, cell, buffers)
+        particles = push(half, v[0], 0.5 * dt, grid, pushed)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0 or t >= t_end - eps:
-            samples.append(KineticSample(t, deposit(ens, grid, cell), y[0].copy(), y[1:2].copy()))
+            moments = deposit(ens, grid, particles)
+            samples.append(KineticSample(t, moments, y[0].copy(), y[1:2].copy()))
 
-    return KineticRunResult(ens, y[0], y[1:2], t, steps, samples, status)
+    x = kernels.position(particles[0], particles[1], grid.dx)
+    return KineticRunResult(
+        ParticleEnsemble(x, particles[2], ens.w), y[0], y[1:2], t, steps, samples, status
+    )
 
 
 # ---------------------------------------------------------------------------

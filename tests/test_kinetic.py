@@ -45,17 +45,6 @@ def test_ensemble_validation():
             ParticleEnsemble(np.array(x), np.array(xi), np.array(w))
 
 
-def test_moved_ensemble_checks_positions_and_velocities_only():
-    ens = ParticleEnsemble(np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-    moved = ens.moved(np.array([1.5, 2.5]), np.array([0.4, 0.6]))
-    assert moved.w is ens.w
-    for x, xi in (([1.0, np.nan], [0.5, 0.5]), ([1.0, 2.0], [np.inf, 0.5])):
-        with pytest.raises(kinetic.KineticError, match="finite"):
-            ens.moved(np.array(x), np.array(xi))
-    with pytest.raises(kinetic.KineticError, match="equal-length"):
-        ens.moved(np.zeros(3), np.zeros(3))
-
-
 def test_monokinetic_ensemble_rejects_no_particles():
     g = Grid(1, 16)
     with pytest.raises(kinetic.KineticError, match="n_particles"):
@@ -96,73 +85,6 @@ def test_deposit_matches_per_particle_loop():
         expected = _deposit_per_particle(i0, frac, xi, w, n_cells, count)
         assert got.shape == (count, n_cells)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_wrap_is_remainder_bit_for_bit():
-    rng = np.random.default_rng(5)
-    k = np.arange(-50, 51, dtype=float)
-    below = np.nextafter(TWO_PI, 0.0)
-    a = np.concatenate(
-        [
-            rng.uniform(-1e3, 1e3, 20000),  # |a| up to 1e3, half of them negative
-            -rng.uniform(0.0, TWO_PI, 1000),
-            k * TWO_PI,  # exact multiples of 2 pi, negative ones included
-            [0.0, -0.0, below, -below, below - TWO_PI, 1e-300, -1e-300, -1e-17, 1e3, -1e3],
-        ]
-    )
-    # |a| up to 1e3 is outside one period of [0, 2 pi): the fmod form
-    got = kernels.wrap(a)
-    np.testing.assert_array_equal(got.view(np.int64), (a % TWO_PI).view(np.int64))
-    assert np.all((got >= 0.0) & (got <= TWO_PI))
-    assert kernels.wrap(np.array([])).shape == (0,)
-
-
-# the edges of the one-period form: -2 pi, the signed zeros and tiny values,
-# 2 pi and the doubles next to it, and the largest double below 4 pi
-ONE_PERIOD_EDGES = [
-    -TWO_PI,
-    np.nextafter(-TWO_PI, 0.0),
-    -0.0,
-    0.0,
-    -1e-300,
-    1e-300,
-    np.nextafter(TWO_PI, 0.0),
-    TWO_PI,
-    np.nextafter(TWO_PI, 10.0),
-    np.nextafter(2.0 * TWO_PI, 0.0),
-]
-
-
-def _assert_wrap_is_remainder(a):
-    np.testing.assert_array_equal(kernels.wrap(a).view(np.int64), (a % TWO_PI).view(np.int64))
-
-
-def test_wrap_one_period_is_remainder_bit_for_bit():
-    rng = np.random.default_rng(6)
-    edges = np.array(ONE_PERIOD_EDGES)
-    _assert_wrap_is_remainder(np.concatenate([rng.uniform(-TWO_PI, 2.0 * TWO_PI, 20000), edges]))
-    # each sub-range alone: no fold, a subtraction only, an addition only
-    for keep in ((edges >= 0.0) & (edges < TWO_PI), edges >= 0.0, edges < TWO_PI):
-        _assert_wrap_is_remainder(edges[keep])
-    for e in edges:
-        _assert_wrap_is_remainder(np.array([e]))
-    # just outside the one-period range, alone, so nothing else picks the form
-    for e in (2.0 * TWO_PI, np.nextafter(-TWO_PI, -10.0)):
-        _assert_wrap_is_remainder(np.array([0.5, e]))
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(
-    arrays(
-        np.float64,
-        st.integers(1, 50),
-        elements=st.one_of(
-            st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True), st.sampled_from(ONE_PERIOD_EDGES)
-        ),
-    )
-)
-def test_wrap_one_period_is_remainder_hypothesis(a):
-    _assert_wrap_is_remainder(a)
 
 
 def test_cell_index_truncation_is_floor_on_in_range_positions():
@@ -207,30 +129,133 @@ def test_two_moment_deposit_is_the_full_deposit_cut():
     np.testing.assert_array_equal(two, full[:2])
 
 
+def _cells(ens, grid):
+    """The ensemble's particles in cell coordinates, (i0, frac, xi)."""
+    return (*kernels.cell_index(ens.x, grid.dx, grid.n), ens.xi)
+
+
+# the edges of a move: the ends of a cell, the signed zeros and tiny values,
+# one period either way, and far beyond it
+MOVE_EDGES = [
+    0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -1e-300, 1e-300, -1.0, 48.0, -48.0, 1e15, -1e15
+]
+
+
+def _assert_move_is_floor_and_remainder(i0, t, n_cells):
+    fl = np.floor(t)
+    out = np.full(t.size, -1, np.int64)
+    offsets = t.copy()
+    i, f = kernels.move(i0, offsets, n_cells, out=out)
+    assert i is out and f is offsets
+    np.testing.assert_array_equal(i, ((i0 + fl) % n_cells).astype(np.int64))
+    # t - floor(t), which is t on [0, 1) but for the sign of a -0.0
+    want = np.where((t >= 0.0) & (t < 1.0), t, t - fl)
+    np.testing.assert_array_equal(f.view(np.int64), want.view(np.int64))
+    assert i.min() >= 0 and i.max() < n_cells and f.min() >= 0.0 and f.max() <= 1.0
+
+
+def test_move_is_floor_and_remainder_bit_for_bit():
+    rng = np.random.default_rng(10)
+    # most points stay in their cell; some cross one edge, some go periods away
+    t = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 4000),
+            rng.uniform(-1.5, 2.5, 1000),
+            rng.uniform(-4.0 * 48, 4.0 * 48, 990),
+            MOVE_EDGES,
+        ]
+    )
+    i0 = rng.integers(0, 48, t.size)
+    _assert_move_is_floor_and_remainder(i0, t, 48)
+    with pytest.raises(ValueError, match="finite"):
+        kernels.move(i0[:2], np.array([0.5, np.nan]), 48, np.empty(2, np.int64))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 50),
+        elements=st.one_of(st.floats(-200.0, 200.0), st.sampled_from(MOVE_EDGES)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_move_is_floor_and_remainder_hypothesis(t, seed):
+    i0 = np.random.default_rng(seed).integers(0, 48, t.size)
+    _assert_move_is_floor_and_remainder(i0, t, 48)
+
+
+def test_position_is_the_cell_index_inverse():
+    g = Grid(1, 48)
+    rng = np.random.default_rng(13)
+    x = np.append(rng.uniform(0.0, TWO_PI, 5000), [0.0, np.nextafter(TWO_PI, 0.0), g.dx])
+    got = kernels.position(*kernels.cell_index(x, g.dx, g.n), g.dx)
+    assert got.min() >= 0.0 and got.max() < TWO_PI
+    # the largest double below 2*pi indexes as cell 0, offset 0: back at 0
+    err = np.abs(got - x)
+    np.testing.assert_array_less(np.minimum(err, TWO_PI - err), 1e-14)
+    # a cell index n - 1 with offset 1 is 2*pi, folded to 0
+    assert kernels.position(np.array([g.n - 1]), np.array([1.0]), g.dx)[0] == 0.0
+
+
+def test_gather_at_a_cell_edge_is_the_grid_value_bit_for_bit():
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal(64)
+    i0 = np.append(rng.integers(0, 64, 5000), [0, 63])
+    got = kernels.gather(v, i0, np.zeros(i0.size))
+    np.testing.assert_array_equal(got.view(np.int64), v[i0].view(np.int64))
+
+
+def test_gather_slope_form_is_the_two_sided_form_to_round_off():
+    rng = np.random.default_rng(15)
+    for scale in (1.0, 1e-3, 1e3):
+        v = scale * rng.standard_normal(64)
+        i0 = rng.integers(0, 64, 20000)
+        frac = rng.uniform(0.0, 1.0, 20000)
+        two_sided = v[i0] * (1.0 - frac) + v[(i0 + 1) % 64] * frac
+        ulp = np.spacing(np.max(np.abs(v)))
+        np.testing.assert_allclose(kernels.gather(v, i0, frac), two_sided, rtol=0, atol=4 * ulp)
+
+
+def test_gather_and_deposit_are_the_consistent_pair():
+    # sum_p w_p v(x_p) = sum_g v_g s0_g: the drag the particles feel is the
+    # drag the fluid feels
+    rng = np.random.default_rng(16)
+    n_cells = 64
+    v = 1.0 + 0.5 * rng.standard_normal(n_cells)
+    i0 = rng.integers(0, n_cells, 20000)
+    frac = rng.uniform(0.0, 1.0, 20000)
+    w = rng.uniform(0.5, 1.5, 20000)
+    s0 = kernels.deposit_moments(i0, frac, np.zeros(20000), w, n_cells, 1)[0]
+    on_particles = float(np.sum(w * kernels.gather(v, i0, frac)))
+    assert on_particles == pytest.approx(float(np.dot(v, s0)), rel=1e-14)
+
+
 def test_gather_with_reused_index_equals_gather_from_positions():
-    # the half-pushed ensemble's index, taken for the deposit, serves the
-    # second half-push: the result is the push that indexes afresh
+    # the half-pushed particles, which the deposit reads, serve the second
+    # half-push: neither the deposit nor a push writes the triple it reads
     g = Grid(1, 64)
     rng = np.random.default_rng(9)
     ens = ParticleEnsemble(
         rng.uniform(0.0, TWO_PI, 4000), rng.standard_normal(4000), np.ones(4000)
     )
     v = np.sin(g.coords()[0]) + 0.1 * rng.standard_normal(g.n)
-    cell = kernels.cell_index(ens.x, g.dx, g.n)
-    kept = [a.copy() for a in cell]
-    deposit(ens, g, cell)
-    reused = push(ens, v, 0.01, g, cell)
-    for a, b in zip(cell, kept):
+    particles = _cells(ens, g)
+    kept = [a.copy() for a in particles]
+    deposit(ens, g, particles)
+    into = push(particles, v, 0.01, g, tuple(np.empty_like(a) for a in particles))
+    for a, b in zip(particles, kept):
         np.testing.assert_array_equal(a, b)
-    fresh = push(ens, v, 0.01, g)
-    np.testing.assert_array_equal(reused.x, fresh.x)
-    np.testing.assert_array_equal(reused.xi, fresh.xi)
-    # and the index-based gather is the linear interpolation of the positions
+    fresh = push(particles, v, 0.01, g)
+    for a, b in zip(into, fresh):
+        np.testing.assert_array_equal(a, b)
+    # and the index-based gather is the linear interpolation of the
+    # positions, in its slope form
     s = ens.x / g.dx
     left = np.floor(s).astype(np.int64) % g.n
     frac = s - np.floor(s)
-    expected = v[left] * (1.0 - frac) + v[(left + 1) % g.n] * frac
-    np.testing.assert_array_equal(kernels.gather(v, *cell), expected)
+    expected = v[left] + frac * (v[(left + 1) % g.n] - v[left])
+    np.testing.assert_array_equal(kernels.gather(v, *particles[:2]), expected)
 
 
 @pytest.mark.parametrize(
@@ -249,27 +274,60 @@ def test_blocked_push_is_the_whole_array_push_bit_for_bit(size):
     if size > 1:
         x[-2:] = TWO_PI - 1e-3, 1e-3  # last block: pushed past 2*pi and below 0
         xi[-2:] = 50.0, -50.0
-    dt = 0.01
-    cell = kernels.cell_index(x, g.dx, g.n)
+    dt, h = 0.01, 0.005
+    i0, frac = kernels.cell_index(x, g.dx, g.n)
 
-    xi_mid = xi + 0.5 * dt * (kernels.gather(v, *cell) - xi)
-    v_mid = kernels.gather(v, *kernels.cell_index(kernels.wrap(x + 0.5 * dt * xi), g.dx, g.n))
-    x_want = kernels.wrap(x + dt * xi_mid)
+    # the whole-array update in cell coordinates
+    xi_mid = xi + h * (kernels.gather(v, i0, frac) - xi)
+    t = xi * (h / g.dx) + frac
+    v_mid = kernels.gather(v, i0 + np.floor(t).astype(np.int64), t - np.floor(t))
     xi_want = xi + dt * (v_mid - xi_mid)
-    cell_want = kernels.cell_index(x_want, g.dx, g.n)
-    assert x_want[0] / g.dx == g.n and cell_want[0][0] == 0
+    t = xi_mid * (dt / g.dx) + frac
+    cells = i0 + np.floor(t).astype(np.int64)
+    want = cells % g.n, t - np.floor(t), xi_want
+    assert i0[0] == 0 and frac[0] == 0.0 and want[0][0] == 0 and want[1][0] == 0.0
     if size > 1:
-        assert (x + dt * xi_mid)[-2] > TWO_PI and (x + dt * xi_mid)[-1] < 0.0
+        assert cells[-2] >= g.n and cells[-1] < 0
 
-    ens = ParticleEnsemble(x, xi, np.ones(size))
-    out = np.full(size, np.nan), np.full(size, np.nan)
-    got = push(ens, v, dt, g, cell, out)
-    assert got.x is out[0] and got.xi is out[1]
-    for a, b in zip((got.x, got.xi) + cell, (x_want, xi_want) + cell_want):
+    particles = i0, frac, xi
+    kept = [a.copy() for a in particles]
+    out = np.full(size, -1), np.full(size, np.nan), np.full(size, np.nan)
+    got = push(particles, v, dt, g, out)
+    assert all(a is b for a, b in zip(got, out))
+    for a, b in zip(got, want):
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
-    fresh = push(ens, v, dt, g)
-    np.testing.assert_array_equal(fresh.x.view(np.int64), x_want.view(np.int64))
-    np.testing.assert_array_equal(fresh.xi.view(np.int64), xi_want.view(np.int64))
+    for a, b in zip(particles, kept):
+        np.testing.assert_array_equal(a, b)
+    fresh = push(particles, v, dt, g)
+    for a, b in zip(fresh, want):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_push_carries_particles_periods_forward_and_backward():
+    # v = 0 and dt = 1: xi_mid = xi / 2, so xi = +-7 * 2*pi moves a particle
+    # 3.5 periods, past the one-period fold, at the midpoint and at the end
+    g = Grid(1, 48)
+    rng = np.random.default_rng(17)
+    size = 4000
+    x = rng.uniform(0.0, TWO_PI, size)
+    xi = np.where(np.arange(size) % 2 == 0, 7.0, -7.0) * TWO_PI + rng.uniform(-1.0, 1.0, size)
+    i, frac, xi_new = push((*kernels.cell_index(x, g.dx, g.n), xi), np.zeros(g.n), 1.0, g)
+    np.testing.assert_array_equal(xi_new, 0.5 * xi)
+    assert i.min() >= 0 and i.max() < g.n and frac.min() >= 0.0 and frac.max() <= 1.0
+    got = kernels.position(i, frac, g.dx)
+    assert got.min() >= 0.0 and got.max() < TWO_PI
+    err = np.abs(got - (x + 0.5 * xi) % TWO_PI)
+    np.testing.assert_array_less(np.minimum(err, TWO_PI - err), 1e-12)
+
+
+def test_push_refuses_a_non_finite_velocity():
+    g = Grid(1, 16)
+    rng = np.random.default_rng(18)
+    particles = (*kernels.cell_index(rng.uniform(0.0, TWO_PI, 100), g.dx, g.n), np.zeros(100))
+    v = np.zeros(g.n)
+    v[particles[0][7]] = np.nan  # one particle's cell
+    with pytest.raises(kinetic.KineticError, match="finite"):
+        push(particles, v, 0.01, g)
 
 
 @pytest.mark.parametrize(
@@ -288,7 +346,7 @@ def test_push_splits_the_particles_into_nearly_equal_blocks(monkeypatch, size, b
     g = Grid(1, 16)
     rng = np.random.default_rng(size)
     ens = ParticleEnsemble(rng.uniform(0.0, TWO_PI, size), rng.standard_normal(size), np.ones(size))
-    cell = kernels.cell_index(ens.x, g.dx, g.n)
+    particles = _cells(ens, g)
     seen = []
     gather = kernels.gather
 
@@ -297,7 +355,7 @@ def test_push_splits_the_particles_into_nearly_equal_blocks(monkeypatch, size, b
         return gather(values, i0, frac, out=out)
 
     monkeypatch.setattr(kernels, "gather", counting_gather)
-    push(ens, np.zeros(g.n), 0.01, g, cell, (np.empty(size), np.empty(size)))
+    push(particles, np.zeros(g.n), 0.01, g, tuple(np.empty_like(a) for a in particles))
     assert seen == [b for b in blocks for _ in range(2)]  # two gathers a block
 
 
@@ -416,23 +474,24 @@ def test_push_relaxation_exact_ode():
     g = Grid(1, 32)
     c = 0.3
     v = np.full(g.shape, c)
-    ens = ParticleEnsemble(np.array([0.1]), np.array([1.5]), np.array([1.0]))
+    particles = (*kernels.cell_index(np.array([0.1]), g.dx, g.n), np.array([1.5]))
     dt = 1e-3
     for _ in range(1000):
-        ens = push(ens, v, dt, g)
+        particles = push(particles, v, dt, g)
     expected = c + (1.5 - c) * math.exp(-1.0)
-    assert abs(ens.xi[0] - expected) < 1e-7
+    assert abs(particles[2][0] - expected) < 1e-7
 
 
 def test_push_equilibrium_characteristic():
     g = Grid(1, 32)
     c = 0.4
     v = np.full(g.shape, c)
-    ens = ParticleEnsemble(np.array([1.0]), np.array([c]), np.array([1.0]))
+    particles = (*kernels.cell_index(np.array([1.0]), g.dx, g.n), np.array([c]))
     for _ in range(100):
-        ens = push(ens, v, 1e-2, g)
-    assert ens.xi[0] == pytest.approx(c, abs=1e-14)
-    assert ens.x[0] == pytest.approx((1.0 + c) % TWO_PI, rel=1e-12)
+        particles = push(particles, v, 1e-2, g)
+    assert particles[2][0] == pytest.approx(c, abs=1e-14)
+    x = kernels.position(particles[0], particles[1], g.dx)
+    assert x[0] == pytest.approx((1.0 + c) % TWO_PI, rel=1e-12)
 
 
 def test_push_second_order():
@@ -441,10 +500,10 @@ def test_push_second_order():
     v = 0.3 * np.sin(x)
 
     def final_x(dt, nsteps):
-        ens = ParticleEnsemble(np.array([0.7]), np.array([0.4]), np.array([1.0]))
+        particles = (*kernels.cell_index(np.array([0.7]), g.dx, g.n), np.array([0.4]))
         for _ in range(nsteps):
-            ens = push(ens, v, dt, g)
-        return ens.x[0], ens.xi[0]
+            particles = push(particles, v, dt, g)
+        return kernels.position(particles[0], particles[1], g.dx)[0], particles[2][0]
 
     ref = final_x(1e-3 / 8, 8000)
     coarse = final_x(1e-3 * 2, 500)
