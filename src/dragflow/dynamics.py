@@ -12,8 +12,10 @@ The rates are assembled on the half spectrum of the grid's real
 transforms: ``rhs`` stacks every field and product it needs into one
 forward transform call and brings all rates back in one inverse call.
 The fluxes m u and j v are symmetric, so only their pairs a <= b are
-transformed.  The particle solver advances its carrier fluid with ``rhs``
-too, on a stack whose rho and m rows hold the deposited moments.
+transformed.  The diagnostics read the same spectrum, and leave it on the
+state for the first stage of its step.  The particle solver advances its
+carrier fluid with ``rhs`` too, on a stack whose rho and m rows hold the
+deposited moments.
 """
 from __future__ import annotations
 
@@ -61,14 +63,14 @@ class FluidParams:
 
 def _field(rows):
     """A State attribute for the stack rows ``rows(dim)``; assigning to it
-    writes into the stack and clears the state's primitives."""
+    writes into the stack and clears the state's primitives and spectrum."""
 
     def get(self):
         return self.y[rows(self.grid.dim)]
 
     def put(self, value):
         self.y[rows(self.grid.dim)] = value
-        self.primitives = None
+        self.primitives = self.spectrum = None
 
     return property(get, put)
 
@@ -85,11 +87,15 @@ class State:
     ``primitives`` holds the state's ``Primitives`` when ``step`` made the
     state (or ``run`` derived them for its initial state), for its dt, its
     steepening guard, its evaluation and the first stage of the next step;
-    that stage drops them.  Writing into a view does not refresh them,
-    so a caller that changes a state ``step`` returned clears them first.
+    that stage drops them.  ``spectrum`` is ``(params, hat)`` once
+    ``Recorder.evaluate`` has read the state: ``hat`` is the forward
+    transform of the stack ``rhs`` makes for ``params`` (see
+    ``rate_stack``), which the first stage of the next step takes in place
+    of its own, and drops.  Writing into a view refreshes neither, so a
+    caller that changes a state in place clears both first.
     """
 
-    __slots__ = ("grid", "y", "primitives")
+    __slots__ = ("grid", "y", "primitives", "spectrum")
 
     def __init__(self, grid: Grid, rho, m, n, j):
         vshape = (grid.dim,) + grid.shape
@@ -99,14 +105,13 @@ class State:
             raise DynamicsError("vector fields must have shape (dim,) + grid shape")
         self.grid = grid
         self.y = np.empty((2 + 2 * grid.dim,) + grid.shape)
-        self.primitives = None
         self.n, self.j, self.rho, self.m = n, j, rho, m
 
     @classmethod
     def of(cls, grid: Grid, y: np.ndarray) -> "State":
         """The state whose stack is ``y`` itself (no copy)."""
         state = cls.__new__(cls)
-        state.grid, state.y, state.primitives = grid, y, None
+        state.grid, state.y, state.primitives, state.spectrum = grid, y, None, None
         return state
 
     n = _field(lambda d: 0)
@@ -236,44 +241,65 @@ def _dot(ops: list[np.ndarray], fields: np.ndarray, rows, out: np.ndarray | None
     return out
 
 
+def rate_stack(y: np.ndarray, u: np.ndarray, v: np.ndarray, gamma: float, drag: bool) -> np.ndarray:
+    """The physical stack ``rhs`` transforms for the state stack ``y`` with
+    velocities u and v: the rows read in full, j, v and m, then from row
+    3*dim the band rows p - 1, the pairs j_a v_b, the pairs m_a u_b and,
+    when ``drag``, rho*(u - v)."""
+    d = u.shape[0]
+    pairs = _pairs(d)
+    npairs = len(pairs)
+    band, flux_at, drag_at = 3 * d, 3 * d + 1 + npairs, 3 * d + 1 + 2 * npairs
+    j, m = y[1 : 1 + d], y[2 + d :]
+    phys = np.empty((drag_at + d * drag,) + u.shape[1:])
+    phys[:d], phys[d : 2 * d], phys[2 * d : band] = j, v, m
+    pressure_minus_one(y[0], gamma, phys[band])
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(j[a], v[b], out=phys[band + 1 + k])
+        np.multiply(m[a], u[b], out=phys[flux_at + k])
+    if drag:
+        np.multiply(y[1 + d], u - v, out=phys[drag_at:])
+    return phys
+
+
 def rhs(state: State, params: FluidParams) -> np.ndarray:
     """Semi-discrete rates of the coupled system in conservative variables,
     stacked as a state is: [d_n, d_j_1..d_j_d, d_rho, d_m_1..d_m_d].
 
-    Every field and product the rates need is transformed in one forward
-    call, the ones read only through the 2/3 rule (the pressure, the fluxes
-    and the drag) as band rows; the 2 + 2*dim rate spectra are assembled on
-    the half spectrum and brought back in one inverse call.  The state's
-    primitives are dropped once read, so the ones ``step`` leaves on a
-    state serve one stage.
+    Every field and product the rates need (``rate_stack``) is transformed
+    in one forward call, the ones read only through the 2/3 rule (the
+    pressure, the fluxes and the drag) as band rows; the 2 + 2*dim rate
+    spectra are assembled on the half spectrum and brought back in one
+    inverse call.  A state that ``Recorder.evaluate`` read for these params
+    carries that transform already, and the call takes it instead of
+    making its own.  The state's primitives and spectrum are dropped once
+    read, so the ones left on a state serve one stage.
     Raises NonPositiveDensity when min(1+n) <= 0.
     """
     g = state.grid
-    d, y = g.dim, state.y
+    d = g.dim
     ops = _operators(g, params)
     pairs = _pairs(d)
-    u, v, n1_min, _ = primitives(state)
-    state.primitives = None
+    # step sets each stage's primitives first: reading them in place saves
+    # the Python call that rate_stack adds to a stage
+    u, v, n1_min, _ = state.primitives or primitives(state)
+    spectrum = state.spectrum
+    state.primitives = state.spectrum = None
     if n1_min <= 0.0:
         raise NonPositiveDensity("fluid rates: min(1+n) <= 0")
 
-    # physical stack, the rows read in full first: j, v, m, then p - 1, the
-    # pairs j_a v_b, the pairs m_a u_b and rho*(u - v)
-    band = 3 * d
-    flux_at = band + 1 + len(pairs)
-    drag_at = flux_at + len(pairs)
-    j, m = y[1 : 1 + d], y[2 + d :]
-    phys = np.empty((drag_at + d * params.drag_on,) + g.shape)
-    phys[:d], phys[d : 2 * d], phys[2 * d : band] = j, v, m
-    pressure_minus_one(y[0], params.gamma, phys[band])
-    for k, (a, b) in enumerate(pairs):
-        np.multiply(j[a], v[b], out=phys[band + 1 + k])
-        np.multiply(m[a], u[b], out=phys[flux_at + k])
-    if params.drag_on:
-        np.multiply(y[1 + d], u - v, out=phys[drag_at:])
-    del u, v  # each work array is dropped once used: the 3-D transient footprint
-    hat = g._fft(phys, band)
-    del phys
+    # the spectrum's rows: j, v, m, then p - 1, the pairs j_a v_b, the pairs
+    # m_a u_b and the drag, as rate_stack lays them out
+    npairs = len(pairs)
+    band, flux_at, drag_at = 3 * d, 3 * d + 1 + npairs, 3 * d + 1 + 2 * npairs
+    if spectrum is not None and spectrum[0] is params:
+        hat = spectrum[1]
+        del spectrum, u, v
+    else:
+        phys = rate_stack(state.y, u, v, params.gamma, params.drag_on)
+        del spectrum, u, v  # each work array is dropped once used: the 3-D transient footprint
+        hat = g._fft(phys, band)
+        del phys
 
     # rate spectra: d_n, d_j (dim), then d_rho, d_m (dim)
     out = np.empty((2 + 2 * d,) + g._half_shape, dtype=complex)

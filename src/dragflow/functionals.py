@@ -2,7 +2,8 @@
 
 ``Recorder.evaluate`` reads every functional and check of a state from its
 derived fields, built once, into a ``DiagnosticsRecord`` at t = nan;
-``Recorder.record`` sets its t, its window's residuals and its flags.
+``Recorder.record`` sets its t, its window's residuals and its flags.  The
+evaluation shares its forward transform with the state's next step.
 
 Every functional here integrates against the normalized measure dx/(2*pi)^dim
 (i.e. grid means), so the total fluid mass is 1, the averaged quantities are
@@ -32,8 +33,8 @@ from .dynamics import (
     _pairs,
     gradient_norm_max,
     pressure_deviation,
-    pressure_minus_one,
     primitives,
+    rate_stack,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
 
@@ -173,6 +174,48 @@ def _equivalence(
     c1 = min(1.0 - sigma * n_bar, frac, 2.0 * c1_pp - sigma * BOGOVSKII_CONSTANT)
     c2 = max(1.0 + sigma * n_bar, frac, 2.0 * c2_pp + sigma * BOGOVSKII_CONSTANT)
     return c1, c2
+
+
+def _sigma_terms(g: Grid, params: FluidParams, sigma: float, j_c, hat, nhat, div_v_hat):
+    """E_sigma - E_script and I4..I10 (their sum is D_sigma - D), from the
+    spectra of a state's ``rate_stack`` (drag rows included), of n and of
+    div v.  Each term that pairs a vector f with the Bogovskii lift
+    grad(phi), laplacian(phi) = n, is read by parts as one Parseval sum,
+    sum_a <f_a, d_a phi> = -<div f, phi>; the band rows (p - 1, the fluxes,
+    the drag) are read only through the 2/3 rule."""
+    d = g.dim
+    pairs = _pairs(d)
+    band = 3 * d
+    p1hat, flux_hat, drag_hat = hat[band], hat[band + 1 : band + 1 + len(pairs)], hat[-d:]
+    phi = nhat * g._inv_neg_k2
+    # div((1+n) dv) = div j - j_c . grad n; the gradients have no k = 0 mode to meet j_c
+    div_j = _dot(g._ik, hat, range(d))
+    jc_ik = sum(c * ik for c, ik in zip(j_c, g._ik))
+    div_dv1 = div_j - jc_ik * nhat
+    # the flux meets the Hessian of phi, symmetric like the flux; the pairs
+    # run over a, then b >= a, so d_a phi is formed once per a
+    flux_hess = 0.0
+    for k, (a, b) in enumerate(pairs):
+        if a == b:
+            d_phi = g._ik[a] * phi
+        term = g.inner(flux_hat[k], g._ik_dealias[b] * d_phi)
+        flux_hess += term if a == b else 2.0 * term
+    # <v_a, d_a laplacian(phi)> = -<div v, n>: I6 and I7 share it
+    div_v_n = float(g.inner(div_v_hat, nhat))
+    cross = 2.0 * sigma * float(g.inner(div_dv1, phi))
+    terms = (
+        sigma * float(flux_hess),
+        sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
+        -sigma * params.mu * div_v_n,
+        -sigma * (params.mu + params.lam) * div_v_n,
+        -sigma * float(g.inner(_dot(g._ik_dealias, drag_hat, range(d)), phi)),
+        # the lift of div j is grad(psi), laplacian(psi) = div j
+        sigma * float(g.inner(div_dv1, div_j * g._inv_neg_k2)),
+        # the paper's I10 also holds j_c' . mean((1+n) grad(phi)), which is
+        # zero: mean(grad(phi)) = 0 and mean(n grad(phi)) = 0 as n = laplacian(phi)
+        sigma * float(g.inner(div_j, jc_ik * phi)),
+    )
+    return cross, terms
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +411,13 @@ class Recorder:
 
         Pointwise products stay in physical space: the energies, the
         fluctuation terms, I3, j_c', E0 and the alignment distances.  The
-        terms that pair derivatives, the Bogovskii lift ``grad(phi)`` with
-        ``laplacian(phi) = n`` or dealiased products (I1, I2, I4-I10, the
-        E_sigma cross term) are Parseval sums over the half spectrum, read
-        from one forward transform call; no inverse transform is made.
+        terms that pair derivatives or dealiased products (I1, I2, I4-I10,
+        the E_sigma cross term) are Parseval sums over the half spectrum;
+        the sigma-weighted ones pair with phi, laplacian(phi) = n, by parts
+        (``_sigma_terms``).  They read the transform of the stack ``rhs``
+        makes (``rate_stack``) and of n, two forward calls and no inverse
+        one.  The first is left on the state as its ``spectrum``, for the
+        first stage of its step.
         """
         params = self.params
         if self.sigma is None:
@@ -384,27 +430,24 @@ class Recorder:
             raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
         n_bar = float(n1.max())
         av = averages(state)
+
+        # the stack rhs transforms, with its drag rows whether or not the
+        # drag is on; its spectrum stays on the state for the next stage.
+        # The work arrays below are made once the stack is dropped: the 3-D
+        # transient footprint
+        phys = rate_stack(state.y, u, v, params.gamma, True)
+        band = 3 * d
+        pdev = phys[band] - params.gamma * state.n
+        jc_prime = _mean_vec(phys[-d:])
+        hat = g._fft(phys, band)
+        del phys
+        state.spectrum = (params, hat)
+        nhat = g._fft(state.n)
+        vhat = hat[d : 2 * d]
         bshape = (-1,) + (1,) * d
         du = u - av.m_c.reshape(bshape)
         dv = v - av.j_c.reshape(bshape)
         diff = u - v
-
-        # physical stack: j, v, p - 1, the pairs j_a v_b, then n and rho (u - v)
-        pairs = _pairs(d)
-        at = 2 * d + 1 + len(pairs)
-        phys = np.empty((at + 1 + d,) + g.shape)
-        phys[:d], phys[d : 2 * d] = state.j, v
-        pressure_minus_one(state.n, params.gamma, phys[2 * d])
-        for k, (a, b) in enumerate(pairs, start=2 * d + 1):
-            np.multiply(state.j[a], v[b], out=phys[k])
-        phys[at] = state.n
-        np.multiply(state.rho, diff, out=phys[at + 1 :])
-        pdev = phys[2 * d] - params.gamma * state.n
-        jc_prime = _mean_vec(phys[at + 1 :])
-        hat = g._fft(phys)
-        del phys
-        jhat, vhat, p1hat = hat[:d], hat[d : 2 * d], hat[2 * d]
-        flux_hat, nhat, drag_hat = hat[2 * d + 1 : at], hat[at], hat[at + 1 :]
 
         fluct_p = _mean(state.rho * _dot_sq(du))
         fluct_f = _mean(n1 * _dot_sq(dv))
@@ -427,30 +470,8 @@ class Recorder:
 
         E_sigma, extra = E_script, (0.0,) * 7
         if sigma > 0.0:
-            lift = g._lift(nhat)
-            # (1+n) dv = j - j_c (1+n); the lifts have no k = 0 mode to meet j_c
-            dv1 = jhat - av.j_c.reshape(bshape) * nhat
-            div_j = _dot(g._ik, jhat, range(d))
-            # the Hessian of phi is d_b of the lift, symmetric like the flux;
-            # the first pair is (0, 0), of weight 1
-            flux_hess = g.inner(flux_hat[0], g._ik_dealias[0] * lift[0])
-            for k, (a, b) in enumerate(pairs[1:], start=1):
-                weight = 1.0 if a == b else 2.0
-                flux_hess += weight * g.inner(flux_hat[k], g._ik_dealias[b] * lift[a])
-            E_sigma -= 2.0 * sigma * float(g.inner(dv1, lift).sum())
-            # I4-I10; grad v meets the Hessian as in I1, d_b with d_b to k_b^2
-            extra = (
-                sigma * float(flux_hess),
-                sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
-                -sigma * params.mu * float(g.inner(vhat, g._k2 * lift).sum()),
-                -sigma * (params.mu + params.lam) * float(g.inner(div_v_hat, nhat)),
-                sigma * float(g.inner(drag_hat, g._dealias_keep * lift).sum()),
-                -sigma * float(g.inner(dv1, g._lift(div_j)).sum()),
-                # mean((1+n) lift) = mean(n lift): the lift has mean zero
-                -sigma * (-float(np.dot(av.j_c, g.inner(div_j, lift)))
-                          + float(np.dot(jc_prime, g.inner(nhat, lift)))),
-            )
-            del lift, dv1, div_j
+            cross, extra = _sigma_terms(g, params, sigma, av.j_c, hat, nhat, div_v_hat)
+            E_sigma += cross
         D_sigma = D
         for val in extra:
             D_sigma += val
@@ -465,7 +486,7 @@ class Recorder:
         )
         # the spectral and fluctuation work arrays are dropped before the
         # rest of the record allocates: the 2-D and 3-D transient footprint
-        del hat, jhat, vhat, p1hat, flux_hat, nhat, drag_hat, div_v_hat, du, dv, diff
+        del hat, vhat, nhat, div_v_hat, du, dv, diff
         if self.e0 is None:
             self._target, self.e0 = alignment_target(av), E
 

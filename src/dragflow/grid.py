@@ -105,12 +105,6 @@ class Grid:
         # tables other modules derive from these symbols, built at first use
         self._derived: dict = {}
 
-    def _lift(self, fhat: np.ndarray) -> np.ndarray:
-        """Spectrum of the Bogovskii lift of a scalar field from its spectrum:
-        i k_a * (-1/|k|^2) * f_k, the gradient of the Poisson solve, per axis."""
-        phi = fhat * self._inv_neg_k2
-        return np.stack([ik * phi for ik in self._ik])
-
     def _box(self, kmax: float) -> np.ndarray:
         """Half-spectrum mask of the modes with every |k_axis| <= kmax."""
         keep = np.ones((), dtype=bool)
@@ -227,9 +221,11 @@ class Grid:
 
     def bogovskii(self, f: np.ndarray) -> np.ndarray:
         """Vector field with divergence f - mean(f), realized as grad(phi)
-        with laplacian(phi) = f - mean(f), in one transform call each way."""
+        with laplacian(phi) = f - mean(f), in one transform call each way:
+        mode k of axis a is i k_a * (-1/|k|^2) * f_k."""
         self._check_mean_zero(f)
-        return self._ifft(self._lift(self._fft(f)))
+        phi = self._fft(f) * self._inv_neg_k2
+        return self._ifft(np.stack([ik * phi for ik in self._ik]))
 
     # -- norms ------------------------------------------------------------
 

@@ -26,6 +26,10 @@ from .grid import TWO_PI
 # There is no numba path; perfbench/run.py reads this for its provenance.
 HAVE_NUMBA = False
 
+# about the particles per block of a push or a deposit: the temporaries are
+# a block long, and a block's passes run while its operands are in cache
+BLOCK = 32768
+
 
 def cell_index(x, dx, n_cells):
     """Cell ``i0`` (int64, in [0, n_cells)) and offset ``frac`` in [0, 1)
@@ -74,23 +78,37 @@ def position(i0, frac, dx):
     return np.remainder(x, TWO_PI, out=x)
 
 
+def blocks(count):
+    """Slices of round(count / BLOCK) blocks covering range(count), at least
+    one when count > 0, of sizes that differ by less than their number: no
+    short last block pays a whole block's call overhead."""
+    size = max(1, -(-count // max(1, round(count / BLOCK))))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
 def deposit_moments(i0, frac, xi, w, n_cells, count):
     """CIC deposition of the first ``count`` velocity moments.
 
     Returns an array of shape (count, n_cells) with
     s[k, g] = sum_i w_i xi_i^k W_g(x_i); the linear kernel telescopes, so
-    sum(s[0]) == sum(w) exactly.  A particle's right-hand share goes to the
-    next cell, which is the left-hand deposit rolled by one.
+    sum(s[0]) equals sum(w) to round-off.  A particle's right-hand share
+    goes to the next cell, which is the left-hand deposit rolled by one.
+    The particles go block by block (``blocks``), so the weights are a
+    block long; each block's sums are added to the sums of the blocks
+    before it.
     """
-    out = np.empty((count, n_cells))
-    left = w * (1.0 - frac)
-    right = w * frac
-    for k in range(count):
-        out[k] = np.bincount(i0, left, n_cells) + np.roll(np.bincount(i0, right, n_cells), 1)
-        if k + 1 < count:
-            left *= xi
-            right *= xi
-    return out
+    sums = np.zeros((2, count, n_cells))  # the left- and right-hand shares
+    for b in blocks(i0.size):
+        i0_b, xi_b = i0[b], xi[b]
+        left = w[b] * (1.0 - frac[b])
+        right = w[b] * frac[b]
+        for k in range(count):
+            sums[0, k] += np.bincount(i0_b, left, n_cells)
+            sums[1, k] += np.bincount(i0_b, right, n_cells)
+            if k + 1 < count:
+                left *= xi_b
+                right *= xi_b
+    return sums[0] + np.roll(sums[1], 1, axis=1)
 
 
 def gather(values, i0, frac, out=None):

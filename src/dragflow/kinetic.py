@@ -71,11 +71,6 @@ class MomentSet:
     q_hat: np.ndarray  # 0.5 * third central moment (energy flux)
 
 
-# about the particles per block of a push: its temporaries are a block
-# long, and a block's passes run while its operands are still in cache
-BLOCK = 32768
-
-
 def deposit(ens: ParticleEnsemble, grid: Grid, particles=None) -> MomentSet:
     """Cloud-in-cell moments; mass and momentum deposit exactly.
     ``particles`` is the ensemble's (i0, frac, xi) in cell coordinates, when
@@ -105,24 +100,19 @@ def push(particles, v_values: np.ndarray, dt: float, grid: Grid, out=None):
     of the midpoint and of the end.  A new velocity that is not finite
     raises ``KineticError``; the offsets stay finite while it is finite.
 
-    The particles go in round(size / BLOCK) blocks (at least one; none when
-    there are no particles) of sizes that differ by less than the number of
-    blocks.  The temporaries are two block-long arrays and the block's
-    output slots, and the arithmetic is the whole-array update's, bit for
-    bit.
+    The particles go in the nearly equal blocks of ``kernels.blocks``.  The
+    temporaries are two block-long arrays and the block's output slots, and
+    the arithmetic is the whole-array update's, bit for bit.
     """
     if dt <= 0.0:
         raise KineticError("dt must be positive")
     if out is None:
         out = tuple(np.empty_like(a) for a in particles)
     h = 0.5 * dt
-    count = particles[2].size
-    # blocks of nearly equal sizes: no short last block pays a whole
-    # block's call overhead
-    size = -(-count // max(1, round(count / BLOCK)))
+    parts = kernels.blocks(particles[2].size)
+    size = parts[0].stop if parts else 0
     mid_buffer, i_mid_buffer = np.empty(size), np.empty(size, np.int64)
-    for lo in range(0, count, max(1, size)):
-        b = slice(lo, lo + size)
+    for b in parts:
         i0, frac, xi = (a[b] for a in particles)
         i_new, frac_new, xi_new = (a[b] for a in out)
         xi_mid, i_mid = mid_buffer[: xi.size], i_mid_buffer[: xi.size]
@@ -237,7 +227,7 @@ def kinetic_run(
     One stack, the 1-D state [n, j, rho_dep, m_dep], holds the fluid and
     the step's deposited moments (the t = 0 deposit at the start, which
     ``State.validate`` checks as ``run`` does).  The fluid step is the grid
-    solver's guarded advance (``cfg.scheme``, the mean(n) re-projection and
+    solver's guarded RK4 advance (the mean(n) re-projection and
     the finiteness check) with ``rhs`` as rates, rows 2-3 zeroed so the
     deposit stays frozen bit for bit; the min(1+n) check follows.  With an
     empty ensemble this reduces to the plain compressible solver.  A step
@@ -293,7 +283,7 @@ def kinetic_run(
             # the drag reads mass and momentum only
             y[2:] = kernels.deposit_moments(*half, ens.w, grid.n, 2) / grid.dx
 
-            y_new, _ = _rk_advance(y, rates, dt, cfg.scheme)
+            y_new, _ = _rk_advance(y, rates, dt)
             n1_min = float(np.min(1.0 + y_new[0]))
             if n1_min <= 0.0:
                 raise IntegrationError(Status.FLUID_VACUUM_BREACH, f"min(1+n) = {n1_min:.3e}")

@@ -83,9 +83,10 @@ class TimeConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {val}")
         if not (self.dt_max > 0.0 and math.isfinite(self.dt_max)):
             raise ValueError("dt_max must be positive and finite")
+        # the one integrator; the key stays so that configs may name it
         self.scheme = str(self.scheme).lower()
-        if self.scheme not in ("rk4", "ssp_rk3"):
-            raise ValueError(f"scheme must be 'rk4' or 'ssp_rk3', got {self.scheme!r}")
+        if self.scheme != "rk4":
+            raise ValueError(f"scheme must be 'rk4', got {self.scheme!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -119,63 +120,42 @@ def cfl_dt(speed: float, dx: float, params: FluidParams, cfg: TimeConfig) -> flo
     return dt
 
 
-def _rk_advance(y: np.ndarray, f, dt: float, scheme: str) -> tuple[np.ndarray, float]:
-    """One guarded explicit Runge-Kutta step of y' = f(y) on one stacked
-    array whose row 0 is the fluid's n; returns the advanced stack, newly
-    allocated, and the |mean(n)| its re-projection removed.  ``f`` is first
-    called with ``y`` itself, returns a new array and keeps no reference to
-    its argument: every later stage is written into one buffer, which the
-    next stage overwrites.
+def _rk_advance(y: np.ndarray, f, dt: float) -> tuple[np.ndarray, float]:
+    """One guarded classical Runge-Kutta (RK4) step of y' = f(y) on one
+    stacked array whose row 0 is the fluid's n; returns the advanced stack,
+    newly allocated, and the |mean(n)| its re-projection removed.  ``f`` is
+    first called with ``y`` itself, returns a new array and keeps no
+    reference to its argument: every later stage is written into one
+    buffer, which the next stage overwrites.
 
     While ``f`` runs the step holds three stacks: y, the running sum and
     the stage.  Each rate is folded into the sum once the next stage has
     been formed from it; k1, scaled in place and with y added, becomes the
-    sum, and no name holds an older rate when ``f`` runs again.  (ssp_rk3's
-    third stage reads k1 and k2 together, so a fourth is live while it is
-    formed.)  A stage is (c * k) + y, and the sum adds its terms to y from
-    left to right, every product and sum with the operands and order of
-    the textbook form, so the result is that form's bit for bit.
+    sum, and no name holds an older rate when ``f`` runs again.  A stage is
+    (c * k) + y, and the sum adds its terms to y from left to right, every
+    product and sum with the operands and order of the textbook form, so
+    the result is that form's bit for bit.
     Raises IntegrationError: FLUID_VACUUM_BREACH when a stage leaves the
     fluid's admissible set (``NonPositiveDensity`` from ``f``), BLOWUP when
     the advanced stack holds a non-finite value.
     """
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            if scheme == "rk4":
-                out = f(y)
-                stage = out * (0.5 * dt)
-                stage += y
-                out *= dt / 6.0
-                out += y
-                for c, w in ((0.5 * dt, dt / 3.0), (dt, dt / 3.0)):
-                    k = f(stage)
-                    np.multiply(k, c, out=stage)
-                    stage += y
-                    k *= w
-                    out += k
-                    del k
+            out = f(y)
+            stage = out * (0.5 * dt)
+            stage += y
+            out *= dt / 6.0
+            out += y
+            for c, w in ((0.5 * dt, dt / 3.0), (dt, dt / 3.0)):
                 k = f(stage)
-                k *= dt / 6.0
-                out += k
-            elif scheme == "ssp_rk3":
-                k1 = f(y)
-                stage = k1 * dt
+                np.multiply(k, c, out=stage)
                 stage += y
-                k2 = f(stage)
-                np.multiply(k1, 0.25 * dt, out=stage)
-                stage += y
-                stage += k2 * (0.25 * dt)
-                out = k1
-                out *= dt / 6.0
-                out += y
-                k2 *= dt / 6.0
-                out += k2
-                del k1, k2
-                k = f(stage)
-                k *= 2.0 * dt / 3.0
+                k *= w
                 out += k
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+                del k
+            k = f(stage)
+            k *= dt / 6.0
+            out += k
     except NonPositiveDensity as err:
         raise IntegrationError(Status.FLUID_VACUUM_BREACH, str(err)) from err
 
@@ -194,9 +174,7 @@ class StepInfo:
     reprojection: float = 0.0
 
 
-def step(
-    state: State, params: FluidParams, dt: float, scheme: str = "rk4"
-) -> tuple[State, StepInfo]:
+def step(state: State, params: FluidParams, dt: float) -> tuple[State, StepInfo]:
     """One guarded advance (see _rk_advance), then the particle floor and
     min(1+n) checks on the new state's Primitives.
 
@@ -214,7 +192,7 @@ def step(
         info.floor_active = info.floor_active or stage.primitives.floor
         return rhs(stage, params)
 
-    y, info.reprojection = _rk_advance(state.y, f, dt, scheme)
+    y, info.reprojection = _rk_advance(state.y, f, dt)
     new = State.of(g, y)
     prim = primitives(new)
     if prim.floor:
@@ -275,7 +253,7 @@ def run(
     while t < t_end - eps:
         try:
             dt = min(compute_dt(state, params, cfg), t_end - t)
-            new, info = step(state, params, dt, cfg.scheme)
+            new, info = step(state, params, dt)
         except IntegrationError as err:
             status = err.status
             break
@@ -313,4 +291,5 @@ def run(
         if ev is None:  # no record needed the state: its only late evaluation
             ev = recorder.evaluate(state, grad)
         records.append(recorder.record(t, state, flags=flags, evaluation=ev))
+    state.spectrum = None  # no stage follows
     return RunResult(state, records, status, t, steps, floor_ever, reproj_max)

@@ -80,6 +80,13 @@ def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, kind):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["ssp_rk3", "etdrk4"])
+def test_a_scheme_other_than_rk4_exits_2_naming_the_key(tmp_path, capsys, scheme):
+    cfg = write_cfg(tmp_path, time={"scheme": scheme})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "time.scheme must be 'rk4'" in capsys.readouterr().err
+
+
 def test_run_uncomputable_dt_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, params={"gamma": 1e6})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
@@ -154,6 +161,8 @@ def test_validate_passes_on_small_run(tmp_path, capsys):
     lines = [l for l in out.strip().splitlines()]
     assert all(l.endswith("PASS") for l in lines)
     assert any(l.startswith("conservation.momentum_drift") for l in lines)
+    # the elliptic/divergence-lifting suite runs inside validate
+    assert any(l.startswith("spectral.poisson_residual") for l in lines)
 
 
 def test_validate_prints_the_momentum_bound_slacks_as_minima(tmp_path, capsys):
@@ -323,15 +332,6 @@ def test_kinetic_compare_exits_3_when_a_run_stops(tmp_path, capsys):
     assert err.strip().splitlines() == ["kinetic-compare failed: grid reference run stopped: blowup"]
 
 
-def test_bogovskii_test_subcommand(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    code = main(["bogovskii-test", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "spectral.poisson_residual" in out
-    assert all(l.endswith("PASS") for l in out.strip().splitlines())
-
-
 def one_error_line(capsys) -> str:
     """The one line a failed command writes to stderr."""
     err = capsys.readouterr().err
@@ -341,7 +341,7 @@ def one_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize(
-    "command", ["run", "validate", "decay-study", "kinetic-compare", "bogovskii-test"]
+    "command", ["run", "validate", "decay-study", "kinetic-compare"]
 )
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path)

@@ -435,9 +435,9 @@ def _seeded_rhs(state, params):
     return g._ifft(out)
 
 
-def _seeded_step(state, params, dt, scheme):
+def _seeded_step(state, params, dt):
     g = state.grid
-    return _rk_advance(state.y, lambda y_s: _seeded_rhs(State.of(g, y_s), params), dt, scheme)
+    return _rk_advance(state.y, lambda y_s: _seeded_rhs(State.of(g, y_s), params), dt)
 
 
 def _seeded_max_speed(state, params):
@@ -479,19 +479,18 @@ def test_in_place_assembly_equals_the_seeded_sums_bit_for_bit(dim, n, drag_on, l
             cfl_dt(_seeded_max_speed(state, params), g.dx, params, cfg)
         )
         assert _bits(grad_velocity_max(state.copy())) == _bits(_seeded_grad_velocity_max(state))
-        for scheme in ("rk4", "ssp_rk3"):
-            dt = 0.5 * compute_dt(state, params, cfg)
-            new, info = step(state, params, dt, scheme)
-            want, reproj = _seeded_step(state, params, dt, scheme)
-            assert _bits(new.y) == _bits(want), scheme
-            assert _bits(info.reprojection) == _bits(reproj), scheme
-            # the stepped state carries its primitives into dt and the guard
-            want_state = State.of(g, want)
-            assert _bits(dyn.max_speed(new, params)) == _bits(_seeded_max_speed(want_state, params))
-            assert _bits(compute_dt(new, params, cfg)) == _bits(
-                cfl_dt(_seeded_max_speed(want_state, params), g.dx, params, cfg)
-            )
-            assert _bits(grad_velocity_max(new)) == _bits(_seeded_grad_velocity_max(want_state))
+        dt = 0.5 * compute_dt(state, params, cfg)
+        new, info = step(state, params, dt)
+        want, reproj = _seeded_step(state, params, dt)
+        assert _bits(new.y) == _bits(want)
+        assert _bits(info.reprojection) == _bits(reproj)
+        # the stepped state carries its primitives into dt and the guard
+        want_state = State.of(g, want)
+        assert _bits(dyn.max_speed(new, params)) == _bits(_seeded_max_speed(want_state, params))
+        assert _bits(compute_dt(new, params, cfg)) == _bits(
+            cfl_dt(_seeded_max_speed(want_state, params), g.dx, params, cfg)
+        )
+        assert _bits(grad_velocity_max(new)) == _bits(_seeded_grad_velocity_max(want_state))
 
 
 def test_operator_tables_are_shared_by_equal_params_and_right_for_each():

@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dragflow.dynamics as dyn
 import dragflow.functionals as fn
 from dragflow.dynamics import FluidParams, State, grad_velocity_max
 from dragflow.grid import Grid, random_band_limited
@@ -693,3 +696,97 @@ def test_record_flags_nonfinite_values_only():
     got = fn.Recorder(g, FluidParams(gamma=1e6, mu=1.0)).record(0.0, state)
     assert math.isinf(got.functionals.E)
     assert got.flags == ("endpoint", "nonfinite")
+
+
+# -- the sigma-weighted terms by parts, against the Bogovskii-lift forms ------
+
+
+def lift(g, fhat):
+    """Spectrum of the Bogovskii lift grad(phi), laplacian(phi) = f, per axis."""
+    phi = fhat * g._inv_neg_k2
+    return np.stack([ik * phi for ik in g._ik])
+
+
+def lift_sigma_terms(state, params, sigma):
+    """E_sigma - E_script and I4..I10 as the paper writes them: each pairs
+    the fluid momentum, the fluxes or the drag with the lift grad(phi),
+    laplacian(phi) = n, term by term; the oracle of ``_sigma_terms``."""
+    g, d = state.grid, state.grid.dim
+    pairs = dyn._pairs(d)
+    v = state.j / (1.0 + state.n)[None]
+    drag = state.rho[None] * (state.m / state.rho[None] - v)
+    j_c = fn._mean_vec(state.j)
+    jc_prime = fn._mean_vec(drag)
+    flux = np.stack([state.j[a] * v[b] for a, b in pairs])
+    jhat, vhat, nhat = g._fft(state.j), g._fft(v), g._fft(state.n)
+    p1hat = g._fft(dyn.pressure_minus_one(state.n, params.gamma))
+    flux_hat, drag_hat = g._fft(flux), g._fft(drag)
+    lift_n = lift(g, nhat)
+    dv1 = jhat - j_c.reshape((-1,) + (1,) * d) * nhat
+    div_j = sum(g._ik[a] * jhat[a] for a in range(d))
+    div_v = sum(g._ik[a] * vhat[a] for a in range(d))
+    hess = sum(
+        (1.0 if a == b else 2.0) * g.inner(flux_hat[k], g._ik_dealias[b] * lift_n[a])
+        for k, (a, b) in enumerate(pairs)
+    )
+    cross = -2.0 * sigma * float(g.inner(dv1, lift_n).sum())
+    terms = (
+        sigma * float(hess),
+        sigma * float(g.inner(nhat, g._dealias_keep * p1hat)),
+        -sigma * params.mu * float(g.inner(vhat, g._k2 * lift_n).sum()),
+        -sigma * (params.mu + params.lam) * float(g.inner(div_v, nhat)),
+        sigma * float(g.inner(drag_hat, g._dealias_keep * lift_n).sum()),
+        -sigma * float(g.inner(dv1, lift(g, div_j)).sum()),
+        -sigma * (-float(np.dot(j_c, g.inner(div_j, lift_n)))
+                  + float(np.dot(jc_prime, g.inner(nhat, lift_n)))),
+    )
+    return cross, terms
+
+
+# measured over 2,000 states drawn as below: every term within 5.5e-17 of
+# its lift form, in units of sigma * (1 + mu + |lam|) * E_dev, and E_sigma
+# and D_sigma within 4.4e-16 relative
+SIGMA_TERM_TOL = 1e-14
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    kmax_frac=st.floats(0.0, 1.0),
+    amp=st.floats(0.01, 0.4),
+    gamma=st.floats(1.1, 3.0).filter(lambda x: abs(x - 2.0) > 1e-3),
+    mu=st.floats(0.1, 2.0),
+    lam_frac=st.floats(-0.9, 1.0).filter(lambda x: abs(x) > 1e-3),
+    sigma=st.floats(1e-3, 0.1),
+)
+def test_by_parts_sigma_terms_match_the_lift_forms(dim, seed, kmax_frac, amp, gamma, mu, lam_frac, sigma):
+    g = Grid(dim, {1: 32, 2: 16, 3: 8}[dim])
+    rng = np.random.default_rng(seed)
+    kmax = 1 + int(kmax_frac * (g.n // 3 - 1))
+    bshape = (-1,) + (1,) * dim
+
+    def field():
+        return amp * random_band_limited(g, rng, kmax)
+
+    # mean flows, so that j_c, j_c' and m_c are nonzero
+    drift_u, drift_v = rng.uniform(-0.5, 0.5, size=(2, dim))
+    rho, n = 1.0 + field(), field()
+    u = np.stack([field() for _ in range(dim)]) + drift_u.reshape(bshape)
+    v = np.stack([field() for _ in range(dim)]) + drift_v.reshape(bshape)
+    state = make_state(g, rho, u, n, v)
+    params = FluidParams(gamma=gamma, mu=mu, lam=lam_frac * mu)
+
+    ev = fn.Recorder(g, params, sigma).evaluate(state)
+    hat = state.spectrum[1]
+    div_v_hat = dyn._dot(g._ik, hat, range(dim, 2 * dim))
+    got = fn._sigma_terms(g, params, sigma, ev.averages.j_c, hat, g._fft(state.n), div_v_hat)
+    want = lift_sigma_terms(state, params, sigma)
+    scale = sigma * (1.0 + mu + abs(params.lam)) * ev.functionals.E_dev
+    names = ("cross", "I4", "I5", "I6", "I7", "I8", "I9", "I10")
+    for name, a, b in zip(names, (got[0],) + got[1], (want[0],) + want[1]):
+        assert abs(a - b) <= SIGMA_TERM_TOL * scale, name
+    e_sigma = ev.functionals.E_script + want[0]
+    d_sigma = ev.functionals.D + sum(want[1])
+    assert ev.functionals.E_sigma == pytest.approx(e_sigma, rel=SIGMA_TERM_TOL, abs=0.0)
+    assert ev.functionals.D_sigma == pytest.approx(d_sigma, rel=SIGMA_TERM_TOL, abs=0.0)

@@ -36,6 +36,8 @@ from dragflow.stepping import (
 )
 
 PARAMS = FluidParams(gamma=2.0, mu=1.0, lam=0.0)
+# the schemes TimeConfig accepts, one case each in the integrator's tests
+SCHEMES = ["rk4"]
 
 
 def uniform_state(grid, a, b, rho0=1.0):
@@ -64,8 +66,9 @@ def test_time_config_validation():
         TimeConfig(t_end=1.0, cfl_advective=0.0)
     with pytest.raises(ValueError):
         TimeConfig(t_end=1.0, cfl_diffusive=1.5)
-    with pytest.raises(ValueError):
-        TimeConfig(t_end=1.0, scheme="euler")
+    for scheme in ("euler", "ssp_rk3"):
+        with pytest.raises(ValueError, match="scheme must be 'rk4'"):
+            TimeConfig(t_end=1.0, scheme=scheme)
     with pytest.raises(ValueError):
         TimeConfig(t_end=1.0, record_every=0)
 
@@ -126,7 +129,7 @@ def test_drag_ode_step_accuracy():
     assert abs((u - v) - math.exp(-2.0)) < 1e-9 * math.exp(-2.0)
 
 
-@pytest.mark.parametrize("scheme,expected_order", [("rk4", 4), ("ssp_rk3", 3)])
+@pytest.mark.parametrize("scheme,expected_order", [("rk4", 4)])
 def test_scheme_order_by_richardson(scheme, expected_order):
     # fixed-interval global error ratio ~ 2^order when dt is halved
     g = Grid(1, 32)
@@ -135,7 +138,7 @@ def test_scheme_order_by_richardson(scheme, expected_order):
     def advance(dt, nsteps):
         state = single_mode_state(g, amp=0.1, phase_v=0.7)
         for _ in range(nsteps):
-            state, _ = step(state, params, dt, scheme)
+            state, _ = step(state, params, dt)
         return state
 
     dt = 2e-2
@@ -169,7 +172,7 @@ def random_state(dim, n, seed, amp=0.1):
     return State(g, rho, rho[None] * u, n_pert, (1.0 + n_pert)[None] * v)
 
 
-def _per_field_step(fields, grid, params, dt, scheme):
+def _per_field_step(fields, grid, params, dt):
     """The integrator as it was on a tuple of fields (rho, m, n, j): each
     stage and the final sum copy the fields, then add c * k field by field.
     The oracle for the stacked integrator."""
@@ -185,34 +188,28 @@ def _per_field_step(fields, grid, params, dt, scheme):
                 a += c * d
         return out
 
-    if scheme == "rk4":
-        k1 = f(fields)
-        k2 = f(combine(fields, [(0.5 * dt, k1)]))
-        k3 = f(combine(fields, [(0.5 * dt, k2)]))
-        k4 = f(combine(fields, [(dt, k3)]))
-        terms = [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)]
-    else:
-        k1 = f(fields)
-        k2 = f(combine(fields, [(dt, k1)]))
-        k3 = f(combine(fields, [(0.25 * dt, k1), (0.25 * dt, k2)]))
-        terms = [(dt / 6.0, k1), (dt / 6.0, k2), (2.0 * dt / 3.0, k3)]
+    k1 = f(fields)
+    k2 = f(combine(fields, [(0.5 * dt, k1)]))
+    k3 = f(combine(fields, [(0.5 * dt, k2)]))
+    k4 = f(combine(fields, [(dt, k3)]))
+    terms = [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)]
     new = combine(fields, terms)
     new[2] -= float(np.mean(new[2]))
     return tuple(new)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
-@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("drag_on", [True, False])
 def test_stacked_step_equals_the_per_field_integrator_bit_for_bit(dim, n, scheme, drag_on):
     state = random_state(dim, n, seed=10 * dim + drag_on)
     params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3, drag_on=drag_on)
-    dt = compute_dt(state, params, TimeConfig(t_end=1.0))
+    dt = compute_dt(state, params, TimeConfig(t_end=1.0, scheme=scheme))
     fields = (state.rho, state.m, state.n, state.j)
     # the second step starts from the primitives the first one left
     for _ in range(2):
-        state, _ = step(state, params, dt, scheme)
-        fields = _per_field_step(fields, state.grid, params, dt, scheme)
+        state, _ = step(state, params, dt)
+        fields = _per_field_step(fields, state.grid, params, dt)
         for name, got, want in zip(("rho", "m", "n", "j"), (state.rho, state.m, state.n, state.j), fields):
             assert np.array_equal(got, want), name
 
@@ -237,34 +234,92 @@ def test_shared_primitives_equal_a_fresh_evaluation(dim, n):
     assert new.primitives is None
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("drag_on", [True, False])
+def test_rhs_of_an_evaluated_state_equals_rhs_of_a_copy(dim, n, drag_on):
+    # the evaluation leaves the transform of rhs's stack on the state (with
+    # the drag rows, which rhs reads only when the drag is on); the stage
+    # that takes it gives the rates bit for bit, and drops it
+    params = FluidParams(gamma=1.4, mu=0.5, lam=0.7, drag_on=drag_on)
+    state, _ = step(random_state(dim, n, seed=dim), params, 1e-3)
+    fn.Recorder(state.grid, params).evaluate(state)
+    assert state.spectrum is not None and state.spectrum[0] is params
+    want = rhs(state.copy(), params)
+    assert rhs(state, params).tobytes() == want.tobytes()
+    assert state.spectrum is None and state.primitives is None
+    # a spectrum made for other params is not taken, and is dropped too
+    fn.Recorder(state.grid, FluidParams(gamma=1.6, mu=0.5, lam=0.7)).evaluate(state)
+    assert rhs(state, params).tobytes() == want.tobytes()
+    assert state.spectrum is None
+
+
+@pytest.mark.parametrize("name", ["rho", "m", "n", "j"])
+def test_a_field_write_drops_the_spectrum(name):
+    state = random_state(2, 16, seed=3)
+    fn.Recorder(state.grid, PARAMS).evaluate(state)
+    assert state.spectrum is not None
+    setattr(state, name, getattr(state, name) * 1.01)
+    assert state.spectrum is None and state.primitives is None
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.03])
+def test_run_returns_a_final_state_without_a_spectrum(t_end):
+    # the final state is evaluated for the end record, and no stage follows
+    state = random_state(2, 16, seed=4, amp=0.05)
+    res = run(state, PARAMS, TimeConfig(t_end=t_end))
+    assert res.status == Status.COMPLETED and res.steps == round(100 * t_end)
+    assert res.final_state.spectrum is None
+    assert state.spectrum is None  # run reads a view of the caller's state
+
+
+def test_an_evaluation_stays_under_the_step_peak():
+    # run evaluates a new state while the previous one is alive: its stack,
+    # transformed and kept, must not set a new live-memory peak
+    state = random_state(3, 16, seed=6, amp=0.05)
+    recorder = fn.Recorder(state.grid, PARAMS)
+    recorder.evaluate(state.copy())
+    step(state.copy(), PARAMS, 1e-3)  # the grid's tables, built once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        new, _ = step(state, PARAMS, 1e-3)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        recorder.evaluate(new, grad_velocity_max(new))
+        evaluate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert evaluate_peak < step_peak, (evaluate_peak, step_peak)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_step_leaves_its_input_untouched(scheme):
-    state, _ = step(random_state(2, 16, seed=5), PARAMS, 1e-3, scheme)
+    state, _ = step(random_state(2, 16, seed=5), PARAMS, 1e-3)
     before = state.y.copy()
-    new, _ = step(state, PARAMS, 1e-3, scheme)
+    new, _ = step(state, PARAMS, 1e-3)
     assert state.y.tobytes() == before.tobytes()
     assert not np.shares_memory(new.y, state.y)
     for name in ("rho", "m", "n", "j"):
         assert np.shares_memory(getattr(new, name), new.y), name
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_guarded_advance_returns_the_reprojection(scheme):
     # constant rates: row 0 gains a mean of about dt, which the advance removes
     y = np.array([[0.5, -0.25, -0.25], [1.0, 2.0, 3.0]])
     rate = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
-    new, reproj = _rk_advance(y, lambda y_s: rate.copy(), 0.1, scheme)
+    new, reproj = _rk_advance(y, lambda y_s: rate.copy(), 0.1)
     assert reproj == pytest.approx(0.2, rel=1e-12)
     assert abs(float(np.mean(new[0]))) < 1e-16
     np.testing.assert_allclose(new[0], y[0] + 0.1 * rate[0] - 0.2, rtol=0, atol=1e-15)
     np.testing.assert_allclose(new[1], y[1] + 0.1, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_guarded_advance_holds_the_sum_and_one_stage_while_the_rates_run(scheme):
     # besides y, only the running sum and the stage buffer are live on every
-    # call of f: no earlier rate is still held (keeping k1..k3 read 4 stacks
-    # for rk4 and k1, k2 3 for ssp_rk3)
+    # call of f: no earlier rate is still held (keeping k1..k3 read 4 stacks)
     y = np.random.default_rng(9).standard_normal((8, 16, 16, 16))
     before = y.copy()
     live = []
@@ -276,16 +331,16 @@ def test_guarded_advance_holds_the_sum_and_one_stage_while_the_rates_run(scheme)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _rk_advance(y, f, 0.1, scheme)
+        _rk_advance(y, f, 0.1)
     finally:
         tracemalloc.stop()
     stacks = [(b - base) / y.nbytes for b in live]
-    assert len(stacks) == (4 if scheme == "rk4" else 3)
+    assert len(stacks) == 4
     assert max(stacks) <= 2.02, stacks
     assert y.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "ssp_rk3"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_guarded_advance_stops_on_a_stage_vacuum(scheme):
     calls = []
 
@@ -296,14 +351,14 @@ def test_guarded_advance_stops_on_a_stage_vacuum(scheme):
         return np.zeros_like(y_s)
 
     with pytest.raises(IntegrationError) as info:
-        _rk_advance(np.zeros((2, 4)), f, 0.1, scheme)
+        _rk_advance(np.zeros((2, 4)), f, 0.1)
     assert info.value.status == Status.FLUID_VACUUM_BREACH
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_guarded_advance_stops_on_a_non_finite_result():
     with pytest.raises(IntegrationError) as info:
-        _rk_advance(np.zeros((2, 4)), lambda y_s: np.full_like(y_s, np.inf), 0.1, "rk4")
+        _rk_advance(np.zeros((2, 4)), lambda y_s: np.full_like(y_s, np.inf), 0.1)
     assert info.value.status == Status.BLOWUP
 
 
@@ -437,27 +492,41 @@ def multi_mode_state(grid, seed=0, amp=0.05):
 
 
 def test_run_evaluates_each_state_once():
-    # 2-D 16^2, a record every step: dt_max binds, so 0.04 takes four steps
-    g = Grid(2, 16)
-    state = multi_mode_state(g)
-    calls = {"forward": 0, "inverse": 0}
+    # a record every step on 1-D 32, 2-D 16^2 and 3-D 8^3 to t = 0.04: four
+    # steps where dt_max binds (2-D, 3-D), nine in 1-D.  Per step: four rhs stages, the first of which
+    # takes the spectrum the state's evaluation left on it, so three make a
+    # forward call; the new state's evaluation (the rhs stack with its drag
+    # rows, then n on its own, forward only); and the guard's gradient of u
+    # (one call each way).  The initial state adds its evaluation and guard.
+    # A rebuilt neighbour, a second gradient of u or a stage that transforms
+    # an evaluated state again adds calls and fields.
+    per_step = {1: 30, 2: 63, 3: 104}  # fields transformed forward
+    for dim, points in ((1, 32), (2, 16), (3, 8)):
+        g = Grid(dim, points)
+        state = multi_mode_state(g)
+        calls = {"forward": 0, "inverse": 0, "fields": 0}
 
-    def counted(name, transform):
-        def wrapper(f, *args):
-            calls[name] += 1
-            return transform(f, *args)
-        return wrapper
+        def counted(name, transform):
+            def wrapper(f, *args):
+                calls[name] += 1
+                if name == "forward":
+                    calls["fields"] += f.size // g.n**dim
+                return transform(f, *args)
+            return wrapper
 
-    g._fft = counted("forward", g._fft)
-    g._ifft = counted("inverse", g._ifft)
-    res = run(state, PARAMS, TimeConfig(t_end=0.04, record_every=1))
-    assert res.status == Status.COMPLETED and res.steps == 4
-    assert len(res.records) == res.steps + 1
-    # per step: four rhs calls (one each way), the new state's evaluation
-    # (forward only) and the guard's gradient of u (one each way); the
-    # initial state adds its own evaluation and guard.  A rebuilt neighbour
-    # or a second gradient of u adds calls.
-    assert calls == {"forward": 6 * res.steps + 2, "inverse": 5 * res.steps + 1}
+        g._fft = counted("forward", g._fft)
+        g._ifft = counted("inverse", g._ifft)
+        res = run(state, PARAMS, TimeConfig(t_end=0.04, record_every=1))
+        assert res.status == Status.COMPLETED and res.steps == (9 if dim == 1 else 4)
+        assert len(res.records) == res.steps + 1
+        # the rhs stack has 4 dim + 1 + dim (dim + 1) rows with the drag
+        rows = 4 * dim + 1 + dim * (dim + 1)
+        assert calls == {
+            "forward": 6 * res.steps + 3,
+            "inverse": 5 * res.steps + 1,
+            "fields": per_step[dim] * res.steps + rows + 1 + dim,
+        }, dim
+        assert per_step[dim] == 4 * rows + 1 + dim
 
 
 @pytest.mark.parametrize("every", [1, 2, 3, 7])
@@ -475,7 +544,7 @@ def test_windowed_residuals_pair_each_record_with_its_neighbours(every):
         t, s = 0.0, state
         while t < cfg.t_end - 1e-12:
             dt = min(compute_dt(s, PARAMS, cfg), cfg.t_end - t)
-            s, _ = step(s, PARAMS, dt, cfg.scheme)
+            s, _ = step(s, PARAMS, dt)
             t += dt
             traj.append((t, s, dt))
         assert len(traj) == res.steps + 1
