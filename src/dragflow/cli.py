@@ -339,6 +339,15 @@ def cmd_kinetic_compare(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def cmd_bogovskii_test(args) -> int:
+    cfg = _load(args)
+    grid = Grid(cfg.grid.dim, cfg.grid.points_per_axis)
+    report = _Report()
+    _spectral_suite(report, grid, cfg.seed)
+    ok = report.emit()
+    return EXIT_OK if ok else EXIT_VALIDATION
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dragflow",
@@ -378,6 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_kin)
     p_kin.set_defaults(func=cmd_kinetic_compare)
+
+    p_bog = sub.add_parser(
+        "bogovskii-test", help="elliptic/divergence-lifting property suite"
+    )
+    common(p_bog)
+    p_bog.set_defaults(func=cmd_bogovskii_test)
     return parser
 
 

@@ -332,6 +332,15 @@ def test_kinetic_compare_exits_3_when_a_run_stops(tmp_path, capsys):
     assert err.strip().splitlines() == ["kinetic-compare failed: grid reference run stopped: blowup"]
 
 
+def test_bogovskii_test_subcommand(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code = main(["bogovskii-test", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "spectral.poisson_residual" in out
+    assert all(l.endswith("PASS") for l in out.strip().splitlines())
+
+
 def one_error_line(capsys) -> str:
     """The one line a failed command writes to stderr."""
     err = capsys.readouterr().err
@@ -341,7 +350,7 @@ def one_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize(
-    "command", ["run", "validate", "decay-study", "kinetic-compare"]
+    "command", ["run", "validate", "decay-study", "kinetic-compare", "bogovskii-test"]
 )
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path)
