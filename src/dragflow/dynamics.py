@@ -358,10 +358,5 @@ def max_speed(state: State, params: FluidParams) -> float:
 
 def grad_velocity_max(state: State) -> float:
     """Grid max of the Frobenius norm of grad(u) (steepening monitor)."""
-    return gradient_norm_max(state.grid, primitives(state).u)
-
-
-def gradient_norm_max(grid: Grid, u: np.ndarray) -> float:
-    """Grid max of the Frobenius norm of grad(u) for a given velocity field."""
-    grad = grid.gradient(u)
+    grad = state.grid.gradient(primitives(state).u)
     return math.sqrt((grad * grad).sum(axis=(0, 1)).max())

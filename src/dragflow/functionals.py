@@ -31,7 +31,7 @@ from .dynamics import (
     State,
     _dot,
     _pairs,
-    gradient_norm_max,
+    grad_velocity_max,
     pressure_deviation,
     primitives,
     rate_stack,
@@ -142,23 +142,14 @@ def _bounds_above(n_bar: float, gamma: float) -> tuple[float, float]:
     return pressure_potential_bounds(1.0, r_bar, gamma)
 
 
-def _sigma_max(n_bar: float, bounds: tuple[float, float]) -> float:
-    return min(1.0 / n_bar, 2.0 * bounds[0] / BOGOVSKII_CONSTANT)
-
-
-def _sigma_default(n_bar: float, bounds: tuple[float, float]) -> float:
-    return min(0.01, 0.5 * _sigma_max(n_bar, bounds))
-
-
 def sigma_admissible_max(state: State, params: FluidParams) -> float:
     """Largest sigma keeping the lower equivalence constant positive."""
     n_bar = float(np.max(1.0 + state.n))
-    return _sigma_max(n_bar, _bounds_above(n_bar, params.gamma))
+    return min(1.0 / n_bar, 2.0 * _bounds_above(n_bar, params.gamma)[0] / BOGOVSKII_CONSTANT)
 
 
 def sigma_default(state: State, params: FluidParams) -> float:
-    n_bar = float(np.max(1.0 + state.n))
-    return _sigma_default(n_bar, _bounds_above(n_bar, params.gamma))
+    return min(0.01, 0.5 * sigma_admissible_max(state, params))
 
 
 def _equivalence(
@@ -500,7 +491,7 @@ class Recorder:
         else:
             e0_int = _mean(pdev / (params.gamma - 1.0) + 0.5 * n1 * _dot_sq(v))
         if grad_u_max is None:
-            grad_u_max = gradient_norm_max(g, u)
+            grad_u_max = grad_velocity_max(state)
         tgt = self._target.reshape(bshape)
         funcs = Functionals(
             E=E,

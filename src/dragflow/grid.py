@@ -60,6 +60,8 @@ class Grid:
     def __init__(self, dim: int, points_per_axis: int):
         if dim not in (1, 2, 3):
             raise SpectralError(f"dim must be 1, 2 or 3, got {dim}")
+        if not float(points_per_axis).is_integer():
+            raise SpectralError(f"points_per_axis must be an integer, got {points_per_axis!r}")
         n = int(points_per_axis)
         if n < 8 or n % 2 != 0:
             raise SpectralError(
@@ -251,7 +253,7 @@ def random_band_limited(
     """Random mean-zero real field supported on modes with every |k_axis| <= kmax.
 
     Defaults to the dealias cutoff so products of two such fields stay
-    representable.  Used by the property suites and the self-test command.
+    representable.  Used by the property suites and ``validate``'s spectral suite.
     """
     if kmax is None:
         kmax = grid.n // 3

@@ -30,8 +30,11 @@ class InitSpec:
             raise InadmissibleInit(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if not self.base_rho > 0.0:
             raise InadmissibleInit("base_rho must be positive")
+        if not float(self.modes).is_integer():
+            raise InadmissibleInit(f"modes must be an integer, got {self.modes!r}")
         if self.modes < 1:
             raise InadmissibleInit("modes must be >= 1")
+        self.modes = int(self.modes)
         if self.kind == "from_snapshot" and self.snapshot is None:
             raise InadmissibleInit("snapshot is required when kind is from_snapshot")
 

@@ -162,7 +162,13 @@ def test_validate_passes_on_small_run(tmp_path, capsys):
     assert all(l.endswith("PASS") for l in lines)
     assert any(l.startswith("conservation.momentum_drift") for l in lines)
     # the elliptic/divergence-lifting suite runs inside validate
-    assert any(l.startswith("spectral.poisson_residual") for l in lines)
+    spectral = [l.split()[0] for l in lines if l.startswith("spectral.")]
+    assert spectral == [
+        "spectral.poisson_residual",
+        "spectral.bogovskii_div_residual",
+        "spectral.poincare_ratio",
+        "spectral.bogovskii_h1_constant",
+    ]
 
 
 def test_validate_prints_the_momentum_bound_slacks_as_minima(tmp_path, capsys):
@@ -332,13 +338,13 @@ def test_kinetic_compare_exits_3_when_a_run_stops(tmp_path, capsys):
     assert err.strip().splitlines() == ["kinetic-compare failed: grid reference run stopped: blowup"]
 
 
-def test_bogovskii_test_subcommand(tmp_path, capsys):
+def test_bogovskii_test_is_no_longer_a_command(tmp_path, capsys):
+    # its suite is validate's spectral.* lines
     cfg = write_cfg(tmp_path)
-    code = main(["bogovskii-test", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "spectral.poisson_residual" in out
-    assert all(l.endswith("PASS") for l in out.strip().splitlines())
+    with pytest.raises(SystemExit) as exc:
+        main(["bogovskii-test", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogovskii-test'" in capsys.readouterr().err
 
 
 def one_error_line(capsys) -> str:
@@ -349,9 +355,7 @@ def one_error_line(capsys) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize(
-    "command", ["run", "validate", "decay-study", "kinetic-compare", "bogovskii-test"]
-)
+@pytest.mark.parametrize("command", ["run", "validate", "decay-study", "kinetic-compare"])
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 2

@@ -25,7 +25,7 @@ from dragflow.config import (
 from dragflow.dynamics import FluidParams, State
 from dragflow.functionals import Recorder
 from dragflow.grid import Grid, random_band_limited
-from dragflow.initial import KINDS, InitSpec, generate_initial
+from dragflow.initial import KINDS, InadmissibleInit, InitSpec, generate_initial
 from dragflow.stepping import TimeConfig, run
 
 MINIMAL = {
@@ -452,6 +452,13 @@ def test_from_snapshot_init(tmp_path):
     spec2 = InitSpec(kind="from_snapshot", snapshot=str(index))
     restored = generate_initial(spec2, g)
     assert np.array_equal(restored.rho, state.rho)
+
+
+def test_init_spec_refuses_a_non_integral_mode_count():
+    with pytest.raises(InadmissibleInit, match="modes must be an integer, got 2.5"):
+        InitSpec(kind="multi_mode", modes=2.5)
+    for modes in (3.0, np.int64(3)):
+        assert InitSpec(kind="multi_mode", modes=modes).modes == 3
 
 
 def test_plot_data(tmp_path):

@@ -30,6 +30,13 @@ def test_grid_validation():
     assert g.volume == pytest.approx(TWO_PI**2)
 
 
+def test_grid_refuses_a_non_integral_size():
+    with pytest.raises(SpectralError, match="points_per_axis must be an integer, got 64.5"):
+        Grid(1, 64.5)
+    assert Grid(1, 64.0).n == 64
+    assert Grid(1, np.int64(64)).n == 64
+
+
 def test_laplacian_eigenfunction():
     g = Grid(1, 64)
     x = g.coords()[0]
