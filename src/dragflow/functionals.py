@@ -34,7 +34,7 @@ from .dynamics import (
     grad_velocity_max,
     pressure_deviation,
     primitives,
-    rate_stack,
+    rate_spectrum,
 )
 from .grid import BOGOVSKII_CONSTANT, Grid
 
@@ -168,9 +168,9 @@ def _equivalence(
 
 
 def _sigma_terms(g: Grid, params: FluidParams, sigma: float, j_c, hat, nhat, div_v_hat):
-    """E_sigma - E_script and I4..I10 (their sum is D_sigma - D), from the
-    spectra of a state's ``rate_stack`` (drag rows included), of n and of
-    div v.  Each term that pairs a vector f with the Bogovskii lift
+    """E_sigma - E_script and I4..I10 (their sum is D_sigma - D), from a
+    state's ``rate_spectrum`` (drag rows included) and the spectra of n and
+    of div v.  Each term that pairs a vector f with the Bogovskii lift
     grad(phi), laplacian(phi) = n, is read by parts as one Parseval sum,
     sum_a <f_a, d_a phi> = -<div f, phi>; the band rows (p - 1, the fluxes,
     the drag) are read only through the 2/3 rule."""
@@ -405,10 +405,10 @@ class Recorder:
         terms that pair derivatives or dealiased products (I1, I2, I4-I10,
         the E_sigma cross term) are Parseval sums over the half spectrum;
         the sigma-weighted ones pair with phi, laplacian(phi) = n, by parts
-        (``_sigma_terms``).  They read the transform of the stack ``rhs``
-        makes (``rate_stack``) and of n, two forward calls and no inverse
-        one.  The first is left on the state as its ``spectrum``, for the
-        first stage of its step.
+        (``_sigma_terms``).  They read the spectrum ``rhs`` reads
+        (``rate_spectrum``) and that of n, and no inverse transform.  The
+        first is left on the state as its ``spectrum``, for the first stage
+        of its step.
         """
         params = self.params
         if self.sigma is None:
@@ -421,24 +421,18 @@ class Recorder:
             raise NonPositiveDensity("diagnostics: min(1+n) <= 0")
         n_bar = float(n1.max())
         av = averages(state)
+        if grad_u_max is None:  # its transforms run before the spectra are made
+            grad_u_max = grad_velocity_max(state)
 
-        # the stack rhs transforms, with its drag rows whether or not the
-        # drag is on; its spectrum stays on the state for the next stage.
-        # The work arrays below are made once the stack is dropped: the 3-D
-        # transient footprint
-        phys = rate_stack(state.y, u, v, params.gamma, True)
-        band = 3 * d
-        pdev = phys[band] - params.gamma * state.n
-        jc_prime = _mean_vec(phys[-d:])
-        hat = g._fft(phys, band)
-        del phys
-        state.spectrum = (params, hat)
-        nhat = g._fft(state.n)
-        vhat = hat[d : 2 * d]
+        # the physical terms come first, and their work arrays are dropped
+        # before the spectra are made: the 2-D and 3-D transient footprint.
+        # p - 1 - gamma n and rho (u - v) have the bits of the spectrum's rows
+        pdev = pressure_deviation(state.n, params.gamma)
         bshape = (-1,) + (1,) * d
         du = u - av.m_c.reshape(bshape)
         dv = v - av.j_c.reshape(bshape)
         diff = u - v
+        jc_prime = _mean_vec(state.rho * diff)
 
         fluct_p = _mean(state.rho * _dot_sq(du))
         fluct_f = _mean(n1 * _dot_sq(dv))
@@ -451,12 +445,21 @@ class Recorder:
         E_dev = ke_p + _mean(_dot_sq(state.j) / n1) + 2.0 * potential
         E = E_dev + 2.0 * (1.0 + params.gamma * _mean(state.n)) / (params.gamma - 1.0)
         E_script = fluct_p + fluct_f + 2.0 * potential + (av.rho_c / (1.0 + av.rho_c) * gap_sq)
+        i3 = _mean(state.rho * _dot_sq(diff))
+        sink_p = _mean(state.rho * np.sum(du * diff, axis=0))
+        sink_f = _mean(state.rho * np.sum(dv * diff, axis=0))
+        del du, dv, diff
 
+        # the spectrum rhs reads, with its drag rows whether or not the drag
+        # is on; it stays on the state for the next stage
+        hat = rate_spectrum(g, state.y, u, v, params.gamma, True)
+        state.spectrum = (params, hat)
+        nhat = g._fft(state.n)
+        vhat = hat[d : 2 * d]
         # |grad v|^2 and (div v)^2: d_b pairs with d_b to k_b^2
         div_v_hat = _dot(g._ik, vhat, range(d))
         i1 = params.mu * float(g.inner(vhat, g._k2 * vhat).sum())
         i2 = (params.mu + params.lam) * float(g.inner(div_v_hat, div_v_hat))
-        i3 = _mean(state.rho * _dot_sq(diff))
         D = i1 + i2 + i3
 
         E_sigma, extra = E_script, (0.0,) * 7
@@ -466,18 +469,18 @@ class Recorder:
         D_sigma = D
         for val in extra:
             D_sigma += val
+        # the spectral work arrays are dropped before the rest of the record
+        # allocates
+        del hat, vhat, nhat, div_v_hat
 
         energies = (E_dev, E_sigma, fluct_p, fluct_f + 2.0 * potential, gap_sq)
         sinks = (
             D,
             D_sigma,
-            _mean(state.rho * np.sum(du * diff, axis=0)),
-            (i1 + i2) - _mean(state.rho * np.sum(dv * diff, axis=0)),
+            sink_p,
+            (i1 + i2) - sink_f,
             (1.0 + av.rho_c) / av.rho_c * float(np.dot(av.m_c - av.j_c, jc_prime)),
         )
-        # the spectral and fluctuation work arrays are dropped before the
-        # rest of the record allocates: the 2-D and 3-D transient footprint
-        del hat, vhat, nhat, div_v_hat, du, dv, diff
         if self.e0 is None:
             self._target, self.e0 = alignment_target(av), E
 
@@ -490,8 +493,6 @@ class Recorder:
             flags = ("e0_hypothesis",)
         else:
             e0_int = _mean(pdev / (params.gamma - 1.0) + 0.5 * n1 * _dot_sq(v))
-        if grad_u_max is None:
-            grad_u_max = grad_velocity_max(state)
         tgt = self._target.reshape(bshape)
         funcs = Functionals(
             E=E,

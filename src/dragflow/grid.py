@@ -10,11 +10,14 @@ Every field is real, so the transforms are real-to-complex: a spectrum
 is the half spectrum of ``rfftn`` (the last axis holds k >= 0 only), and
 the Fourier symbols are built once on it.  Both transforms accept a stack
 of fields with leading axes, so a caller transforms everything it needs
-in one call each way.  They are numpy's bit for bit: its pocketfft kernels
-in ``rfftn``'s and ``irfftn``'s passes, without ``numpy.fft``'s wrapper.  A
-caller that reads the rows of a stack from some index on only through the
-2/3 rule marks them as band rows; the forward transform then skips the
-lines that never reach the dealiasing box and zeroes the columns past it.
+in one call each way; the forward one writes into a given array, so a
+stack too large to hold in physical space is transformed a block of rows
+at a time into one spectrum.  They are numpy's bit for bit: its pocketfft
+kernels in ``rfftn``'s and ``irfftn``'s passes, without ``numpy.fft``'s
+wrapper.  A caller that reads the rows of a stack from some index on
+only through the 2/3 rule marks them as band rows; the forward transform
+then skips the lines that never reach the dealiasing box and zeroes the
+columns past it.
 
 All operations are pure: input arrays are never mutated.  Fields may be
 shared freely across threads for reading.
@@ -132,15 +135,20 @@ class Grid:
 
     # -- transforms -----------------------------------------------------
 
-    def _fft(self, f: np.ndarray, band: int | None = None) -> np.ndarray:
-        """Half spectrum of a real field or of a stack with leading axes.
+    def _fft(
+        self, f: np.ndarray, band: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Half spectrum of a real field or of a stack with leading axes,
+        written into ``out`` when it is given (an array of the spectrum's
+        shape, such as a run of rows of a larger stack).
 
         Rows ``band:`` of a stack (along its first axis) are for callers
         that read them only through the 2/3 rule: in 2-D and 3-D they equal
         the full transform on the modes of the dealiasing box and are zero
-        on the columns beyond it.
+        on the columns beyond it.  A ``band`` past the last row marks none.
         """
-        out = np.empty(f.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        if out is None:
+            out = np.empty(f.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
         pocketfft.rfft_n_even(f, 1.0, out=out)
         if self.dim == 1:
             return out
@@ -159,14 +167,20 @@ class Grid:
         out = np.empty(fhat.shape[:-1] + (self.n,))
         if self.dim == 1:
             return pocketfft.irfft(fhat, 1.0 / self.n, out=out)
-        # irfftn's passes in its order, each scaled by 1/n, in place on a copy:
-        # of the stack in 2-D, of each field in 3-D (a stacked copy raised peak RSS)
-        for i in np.ndindex(fhat.shape[:-3]) if self.dim == 3 else [()]:
-            c = fhat[i].astype(complex)
+        # irfftn's passes in its order, each scaled by 1/n: the first from
+        # fhat into a work array, the others in place on it.  The work array
+        # holds the stack in 2-D and one field in 3-D, reused from field to
+        # field (a stacked one raised peak RSS)
+        if self.dim == 3:
+            fields, work = np.ndindex(fhat.shape[:-3]), np.empty(self._half_shape, dtype=complex)
+        else:
+            fields, work = [()], np.empty(fhat.shape, dtype=complex)
+        for i in fields:
+            src = fhat[i]
             for axis in self._axes[:-1]:
-                pocketfft.ifft(c, 1.0 / self.n, axes=[(axis,), (), (axis,)], out=c)
-            pocketfft.irfft(c, 1.0 / self.n, out=out[i])
-            del c  # before the next field's copy
+                pocketfft.ifft(src, 1.0 / self.n, axes=[(axis,), (), (axis,)], out=work)
+                src = work
+            pocketfft.irfft(work, 1.0 / self.n, out=out[i])
         return out
 
     def inner(self, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:

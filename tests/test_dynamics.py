@@ -4,6 +4,7 @@ The rhs is cross-checked against an independent second-order
 finite-difference discretization of the same continuum operators.
 """
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -261,17 +262,18 @@ def one_kinetic_step(grid, state, params):
     return kinetic_run(ens, state.n, state.j, grid, params, TimeConfig(t_end=1e-4))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8), (3, 32)])
 def test_rhs_makes_one_transform_call_each_way(dim, n):
     g = Grid(dim, n)
-    calls, bands = [], []
+    calls, bands, sizes = [], [], []
 
     def counted(name, transform):
-        def wrapper(f, *args):
+        def wrapper(f, *args, **kwargs):
             calls.append((name, f.shape[0]))
             if name == "forward":
                 bands.append(args)
-            return transform(f, *args)
+                sizes.append(f.nbytes)
+            return transform(f, *args, **kwargs)
         return wrapper
 
     state = random_state(g, np.random.default_rng(0))
@@ -279,10 +281,20 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
     g._ifft = counted("inverse", g._ifft)
     pairs = dim * (dim + 1) // 2
     rhs(state, FluidParams(gamma=1.4, mu=0.5, lam=-0.3))
-    # m, j, v, p - 1, the pairs m_a u_b and j_a v_b, rho*(u - v); then the 2 + 2*dim rates
-    assert calls == [("forward", 4 * dim + 1 + 2 * pairs), ("inverse", 2 + 2 * dim)]
-    # j, v and m are read in full, the rows after them only through the 2/3 rule
-    assert bands == [(3 * dim,)]
+    # m, j, v, p - 1, the pairs m_a u_b and j_a v_b, rho*(u - v); then the
+    # 2 + 2*dim rates.  The forward call is one block of rows of at most
+    # 1 MiB: the whole stack up to 16^3, four rows at 32^3
+    rows = 4 * dim + 1 + 2 * pairs
+    per = 4 if (dim, n) == (3, 32) else rows
+    starts = range(0, rows, per)
+    assert calls == [("forward", min(per, rows - lo)) for lo in starts] + [("inverse", 2 + 2 * dim)]
+    assert max(sizes) <= 1 << 20
+    # j, v and m are read in full, the rows after them only through the 2/3
+    # rule: the band index is shifted into each block, and at 32^3 the block
+    # of rows 8-11 holds both kinds
+    assert bands == [(max(3 * dim - lo, 0),) for lo in starts]
+    if (dim, n) == (3, 32):
+        assert bands == [(9,), (5,), (1,), (0,), (0,), (0,), (0,)]
 
     if dim == 1:  # the particle solver is 1-D only
         # one RK4 step of it: each stage's fluid rates are one rhs call
@@ -292,6 +304,40 @@ def test_rhs_makes_one_transform_call_each_way(dim, n):
         assert result.steps == 1
         assert calls == [("forward", 7), ("inverse", 4)] * 4
         assert bands == [(3,)] * 4
+
+
+def test_rates_and_evaluation_never_hold_the_whole_physical_stack():
+    # the physical rows of the rate stack are made and transformed a block
+    # at a time: beside the spectrum (25 rows in 3-D), neither rhs nor an
+    # evaluation holds the whole physical stack.  At 32^3 the peaks beyond
+    # the spectrum read 0.49 and 0.46 of the stack's bytes, against 1.00
+    # and 1.08 when the stack was made whole
+    g = Grid(3, 32)
+    params = FluidParams(gamma=1.4, mu=0.5, lam=-0.3)
+    state = random_state(g, np.random.default_rng(5))
+    recorder = Recorder(g, params)
+    # the grid's and the params' tables, and the recorder's sigma, built once
+    rhs(state.copy(), params)
+    recorder.evaluate(state.copy())
+    rows = 25
+    spectrum = rows * math.prod(g._half_shape) * 16
+    stack = rows * math.prod(g.shape) * 8
+    for name in ("rhs", "evaluate"):
+        # the state as step leaves it: with its primitives and its gradient monitor
+        s = state.copy()
+        s.primitives = dyn.primitives(s)
+        grad = grad_velocity_max(s)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if name == "rhs":
+                rhs(s, params)
+            else:
+                recorder.evaluate(s, grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - spectrum < 0.6 * stack, (name, (peak - spectrum) / stack)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
@@ -462,10 +508,12 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8), (3, 32)])
 @pytest.mark.parametrize("drag_on", [True, False])
 @pytest.mark.parametrize("lam", [0.0, -0.3])
 def test_in_place_assembly_equals_the_seeded_sums_bit_for_bit(dim, n, drag_on, lam):
+    # at 32^3 rhs makes its stack in blocks of four rows, and the block of
+    # rows 8-11 straddles the first band row, 9; the oracle makes it whole
     g = Grid(dim, n)
     params = FluidParams(gamma=1.4, mu=0.5, lam=lam, drag_on=drag_on)
     cfg = TimeConfig(t_end=1.0)

@@ -507,11 +507,11 @@ def test_run_evaluates_each_state_once():
         calls = {"forward": 0, "inverse": 0, "fields": 0}
 
         def counted(name, transform):
-            def wrapper(f, *args):
+            def wrapper(f, *args, **kwargs):
                 calls[name] += 1
                 if name == "forward":
                     calls["fields"] += f.size // g.n**dim
-                return transform(f, *args)
+                return transform(f, *args, **kwargs)
             return wrapper
 
         g._fft = counted("forward", g._fft)
